@@ -11,21 +11,8 @@ HomaReceiver::HomaReceiver(HomaContext& ctx, DeliverFn deliver)
       sched_(makeGrantScheduler(ctx.cfg.grantPolicy)),
       timeoutScan_(ctx.host.loop(), [this] { checkTimeouts(); }) {}
 
-bool HomaReceiver::recentlyCompleted(MsgId id) const {
-    return completedSet_.count(id) != 0;
-}
-
-void HomaReceiver::noteCompleted(MsgId id) {
-    completedSet_.insert(id);
-    completedFifo_.push_back(id);
-    while (completedFifo_.size() > 8192) {
-        completedSet_.erase(completedFifo_.front());
-        completedFifo_.pop_front();
-    }
-}
-
 void HomaReceiver::handleData(const Packet& p) {
-    if (recentlyCompleted(p.msg)) return;  // duplicate tail of a done message
+    if (completed_.contains(p.msg)) return;  // duplicate tail of a done message
 
     auto it = in_.find(p.msg);
     if (it == in_.end()) {
@@ -58,7 +45,7 @@ void HomaReceiver::handleData(const Packet& p) {
         Message meta = im.meta;
         DeliveryInfo info = im.acc;
         info.completed = ctx_.host.loop().now();
-        noteCompleted(p.msg);
+        completed_.note(p.msg);
         sched_->remove(p.msg);
         in_.erase(it);
         applyGrantDecision();  // a finished message may unblock a withheld one

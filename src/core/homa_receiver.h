@@ -11,12 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
+#include "core/completed_window.h"
 #include "core/homa_context.h"
 #include "sched/grant_scheduler.h"
 #include "sim/event_loop.h"
@@ -68,8 +67,6 @@ private:
     void applyGrantDecision();
     void issueGrant(InMessage& im, int64_t window, int logical);
     void checkTimeouts();
-    bool recentlyCompleted(MsgId id) const;
-    void noteCompleted(MsgId id);
 
     HomaContext& ctx_;
     DeliverFn deliver_;
@@ -80,8 +77,7 @@ private:
     uint64_t resendsSent_ = 0;
 
     // Duplicate suppression after completion (retransmitted tails).
-    std::unordered_set<MsgId> completedSet_;
-    std::deque<MsgId> completedFifo_;
+    CompletedWindow completed_;
 
     Timer timeoutScan_;
 };

@@ -12,11 +12,13 @@ namespace homa {
 
 /// Computes the minimum time to move a message between two hosts on an
 /// idle network (worst-case placement: cross-rack on the fat-tree,
-/// cross-pod — through the oversubscribed core — on a three-tier one), by
-/// exact simulation of the store-and-forward pipeline: packets serialize
-/// back-to-back on the sender link, each later hop forwards a packet after
-/// the switch delay, and the receiver's software delay is paid once at the
-/// end. Validated against the event simulator in tests.
+/// cross-pod — through the oversubscribed core — on a three-tier one) for
+/// the store-and-forward pipeline: packets serialize back-to-back on the
+/// sender link, each later hop forwards a packet after the switch delay,
+/// and the receiver's software delay is paid once at the end. Two-tier and
+/// intra-rack paths have a closed form in the last two packets; the
+/// three-tier cross-pod path runs the per-packet recurrence and caches it.
+/// Validated against the event simulator in tests.
 class Oracle {
 public:
     explicit Oracle(const NetworkConfig& cfg) : cfg_(cfg) {}
@@ -37,10 +39,10 @@ public:
     }
 
 private:
-    Duration computeOneWay(uint32_t size, bool intraRack) const;
+    Duration crossPodOneWay(uint32_t size) const;
 
     NetworkConfig cfg_;
-    mutable std::map<std::pair<uint32_t, bool>, Duration> cache_;
+    mutable std::map<uint32_t, Duration> crossPodCache_;
 };
 
 }  // namespace homa

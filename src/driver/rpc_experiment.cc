@@ -3,7 +3,10 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <unordered_map>
+
+#include "stats/percentile.h"
 
 namespace homa {
 
@@ -19,6 +22,10 @@ namespace {
 RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
     const ServingConfig& sv = cfg.serving;
     NetworkConfig netCfg = cfg.net;
+    if (const std::string err = validateServingConfig(sv, netCfg.hostCount());
+        !err.empty()) {
+        throw std::invalid_argument("invalid serving config: " + err);
+    }
     if (!netCfg.switchQdisc) netCfg.switchQdisc = switchQdiscFor(cfg.proto);
     // Transport factories key unscheduled-priority cutoffs off one size
     // distribution; use the first tenant's (cutoff tuning, not
@@ -31,16 +38,11 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
     const int nTenants = static_cast<int>(sv.tenants.size());
     const int nClients = sv.totalClients();
     const int servers = net.hostCount() - nClients;
-    assert(validateServingConfig(sv, net.hostCount()).empty());
-    assert(servers >= 1);
 
     const std::vector<ReplicaGroupConfig> groups = sv.effectiveGroups();
     std::vector<ResolvedGroup> resolved;
-    {
-        std::string err;
-        const bool ok = resolveReplicaGroups(sv, servers, resolved, &err);
-        assert(ok);
-        (void)ok;
+    if (std::string err; !resolveReplicaGroups(sv, servers, resolved, &err)) {
+        throw std::invalid_argument("invalid serving config: " + err);
     }
 
     std::vector<std::unique_ptr<RpcEndpoint>> endpoints;
@@ -65,7 +67,7 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         uint64_t seq = 0;  // logical-RPC sequence; feeds the selector
         // Observed latencies arm the hedge delay (whole run, not
         // window-gated: the hedge needs samples before the window opens).
-        Samples latency;  // microseconds
+        StreamingQuantile latency;  // microseconds, at hedgePercentile
         Duration hedgeDelay = 0;
         int sinceRecalc = 0;
         Duration meanGap = 0;  // open mode
@@ -82,7 +84,8 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
             ts[t].dist = &workload(tc.workload);
             ts[t].firstClient = nextClient;
             ts[t].groupIdx = tenantGroupIndex(sv, tc);
-            assert(ts[t].groupIdx >= 0);
+            ts[t].latency =
+                StreamingQuantile(groups[ts[t].groupIdx].hedgePercentile);
             if (tc.mode == ArrivalMode::Open) {
                 ts[t].meanGap = static_cast<Duration>(std::llround(
                     ts[t].dist->meanWireBytes() * psPerByte / tc.load));
@@ -131,12 +134,12 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
     auto hedgeDelayFor = [&](int t) -> Duration {
         TenantState& s = ts[t];
         const ReplicaGroupConfig& g = groups[s.groupIdx];
-        // Recompute the cached percentile every 64 completions: percentile
-        // extraction is a sort, too costly per RPC.
+        // Refresh the delay from the streaming percentile every 64
+        // completions. The query is O(1); the cadence is kept because it
+        // decides which delay each RPC is armed with, and so the results.
         if (s.hedgeDelay == 0 || s.sinceRecalc >= 64) {
             const Duration p = static_cast<Duration>(std::llround(
-                s.latency.percentile(g.hedgePercentile) *
-                static_cast<double>(microseconds(1))));
+                s.latency.value() * static_cast<double>(microseconds(1))));
             s.hedgeDelay = std::max(g.hedgeFloor, p);
             s.sinceRecalc = 0;
         }

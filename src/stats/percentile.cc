@@ -5,15 +5,20 @@
 
 namespace homa {
 
+size_t nearestRankIndex(double p, size_t n) {
+    p = std::clamp(p, 0.0, 1.0);
+    return std::min(
+        n - 1, static_cast<size_t>(std::ceil(p * static_cast<double>(n)) -
+                                   (p > 0.0 ? 1 : 0)));
+}
+
 void Samples::add(double v) {
     values_.push_back(v);
-    sorted_ = false;
     sum_ += v;
 }
 
 void Samples::absorb(const Samples& other) {
     values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-    sorted_ = false;
     sum_ += other.sum_;
 }
 
@@ -33,16 +38,32 @@ double Samples::max() const {
 
 double Samples::percentile(double p) const {
     if (values_.empty()) return 0.0;
-    p = std::clamp(p, 0.0, 1.0);
-    if (!sorted_) {
-        std::sort(values_.begin(), values_.end());
-        sorted_ = true;
+    if (sorted_ < values_.size()) {
+        const auto fresh = values_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+        std::sort(fresh, values_.end());
+        std::inplace_merge(values_.begin(), fresh, values_.end());
+        sorted_ = values_.size();
     }
-    const size_t idx = std::min(
-        values_.size() - 1,
-        static_cast<size_t>(std::ceil(p * static_cast<double>(values_.size())) -
-                            (p > 0.0 ? 1 : 0)));
-    return values_[idx];
+    return values_[nearestRankIndex(p, values_.size())];
+}
+
+void StreamingQuantile::add(double v) {
+    if (!low_.empty() && v <= low_.top()) {
+        low_.push(v);
+    } else {
+        high_.push(v);
+    }
+    // Every sample in low_ is <= every sample in high_; move the boundary
+    // until low_ holds exactly the k smallest.
+    const size_t k = nearestRankIndex(p_, count()) + 1;
+    while (low_.size() > k) {
+        high_.push(low_.top());
+        low_.pop();
+    }
+    while (low_.size() < k) {
+        low_.push(high_.top());
+        high_.pop();
+    }
 }
 
 }  // namespace homa

@@ -6,9 +6,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <vector>
 
 namespace homa {
+
+/// Nearest-rank index of the p-quantile (p clamped to [0,1]) among `n` > 0
+/// sorted samples. The one rank rule of Samples and StreamingQuantile.
+size_t nearestRankIndex(double p, size_t n);
 
 class Samples {
 public:
@@ -37,8 +43,32 @@ public:
 
 private:
     mutable std::vector<double> values_;
-    mutable bool sorted_ = false;
+    // values_[0, sorted_) is sorted; a query sorts only the samples added
+    // since the last one and merges them in.
+    mutable size_t sorted_ = 0;
     double sum_ = 0;
+};
+
+/// Exact nearest-rank p-quantile of a growing stream, for one fixed p:
+/// value() always equals Samples::percentile(p) over the same samples. A
+/// max-heap holds the k = nearestRankIndex(p, n) + 1 smallest samples and
+/// a min-heap the rest, so add() is O(log n) and value() is O(1).
+class StreamingQuantile {
+public:
+    explicit StreamingQuantile(double p = 0.5) : p_(p) {}
+
+    void add(double v);
+
+    size_t count() const { return low_.size() + high_.size(); }
+
+    /// The p-quantile of every sample added so far; 0 if empty.
+    double value() const { return low_.empty() ? 0.0 : low_.top(); }
+
+private:
+    double p_;
+    std::priority_queue<double> low_;  // the k smallest; top is the answer
+    std::priority_queue<double, std::vector<double>, std::greater<double>>
+        high_;
 };
 
 }  // namespace homa

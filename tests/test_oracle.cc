@@ -2,9 +2,14 @@
 // this pins down every timing constant in the substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/homa_transport.h"
 #include "driver/oracle.h"
 #include "sim/network.h"
+#include "sim/random.h"
+#include "topology_shapes.h"
 #include "workload/workloads.h"
 
 namespace homa {
@@ -58,10 +63,91 @@ TEST(Oracle, LargeMessageApproachesLineRate) {
 }
 
 TEST(Oracle, CachedLookupsAreStable) {
-    Oracle oracle(NetworkConfig::fatTree144());
-    for (uint32_t s : {1u, 777u, 10000u}) {
-        EXPECT_EQ(oracle.bestOneWay(s), oracle.bestOneWay(s));
+    // The three-tier cross-pod path is the one that caches.
+    for (const char* spec : {"racks=9,hosts=16,aggr=4",
+                             "racks=8,hosts=4,aggr=3,core=2,pods=2,oversub=8"}) {
+        Oracle oracle(shapeConfig(spec));
+        for (uint32_t s : {1u, 777u, 10000u}) {
+            EXPECT_EQ(oracle.bestOneWay(s), oracle.bestOneWay(s)) << spec;
+        }
     }
+}
+
+// The per-packet store-and-forward recurrence the oracle's closed form
+// replaces on every path but the three-tier cross-pod one: done[i] is the
+// time packet i has fully left the current hop.
+Duration referenceOneWay(const NetworkConfig& cfg, uint32_t size,
+                         bool intraRack) {
+    const int packets =
+        std::max(1, static_cast<int>((size + kMaxPayload - 1) / kMaxPayload));
+    std::vector<int64_t> wire(packets);
+    uint32_t left = size;
+    for (int i = 0; i < packets; i++) {
+        const uint32_t payload = std::min<uint32_t>(left, kMaxPayload);
+        wire[i] = payload + kHeaderBytes + kFrameOverhead;
+        left -= payload;
+    }
+    std::vector<Bandwidth> hops = {cfg.hostLink};
+    if (!cfg.singleRack() && !intraRack) {
+        hops.push_back(cfg.coreLink);
+        hops.push_back(cfg.coreLink);
+    }
+    hops.push_back(cfg.hostLink);
+
+    // One path on a single rack: packets share every link FIFO. Across
+    // racks, spraying gives each packet an independent core path.
+    const bool sharedPath = cfg.singleRack() || intraRack;
+    std::vector<Duration> done(packets, 0);
+    Duration linkFree = 0;
+    for (int i = 0; i < packets; i++) {
+        done[i] = linkFree + hops[0].serialize(wire[i]);
+        linkFree = done[i];
+    }
+    for (size_t k = 1; k < hops.size(); k++) {
+        linkFree = 0;
+        for (int i = 0; i < packets; i++) {
+            Duration start = done[i] + cfg.switchDelay;
+            if (sharedPath) start = std::max(start, linkFree);
+            done[i] = start + hops[k].serialize(wire[i]);
+            linkFree = done[i];
+        }
+    }
+    return *std::max_element(done.begin(), done.end()) + cfg.softwareDelay;
+}
+
+TEST(OracleClosedForm, MatchesThePerPacketRecurrence) {
+    std::vector<std::pair<std::string, NetworkConfig>> configs;
+    for (const char* spec : kShapeSpecs) configs.emplace_back(spec, shapeConfig(spec));
+    NetworkConfig slowCore = NetworkConfig::fatTree144();
+    slowCore.coreLink = Bandwidth{3 * slowCore.hostLink.psPerByte};
+    configs.emplace_back("coreLink slower than hostLink", slowCore);
+    NetworkConfig noSwitchDelay = NetworkConfig::fatTree144();
+    noSwitchDelay.switchDelay = 0;
+    configs.emplace_back("switchDelay 0", noSwitchDelay);
+
+    std::vector<uint32_t> sizes;
+    for (uint32_t s = 0; s <= 65536; s++) sizes.push_back(s);
+    Rng rng(7);
+    for (int i = 0; i < 2000; i++) {
+        sizes.push_back(static_cast<uint32_t>(rng.range(0, 10'000'000)));
+    }
+
+    uint64_t cases = 0;
+    for (const auto& [name, cfg] : configs) {
+        const Oracle oracle(cfg);
+        for (bool intraRack : {true, false}) {
+            // The three-tier cross-pod path keeps the recurrence itself.
+            if (cfg.threeTier() && !intraRack) continue;
+            for (uint32_t size : sizes) {
+                ASSERT_EQ(oracle.bestOneWay(size, intraRack),
+                          referenceOneWay(cfg, size, intraRack))
+                    << name << ", size " << size
+                    << (intraRack ? ", intra-rack" : ", cross-rack");
+                cases++;
+            }
+        }
+    }
+    EXPECT_GT(cases, 1'000'000u);
 }
 
 // The definitive check: Homa on an otherwise idle simulated network hits

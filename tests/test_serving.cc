@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,9 @@ TEST(ReplicaSelector, P2cNeverPicksDeeperThanBothCandidates) {
                     ASSERT_LT(c1, replicas);
                     ASSERT_GE(c2, 0);
                     ASSERT_LT(c2, replicas);
-                    if (replicas >= 2) ASSERT_NE(c1, c2);
+                    if (replicas >= 2) {
+                        ASSERT_NE(c1, c2);
+                    }
                     const int picked = sel.pick(seq, depth);
                     ASSERT_TRUE(picked == c1 || picked == c2);
                     EXPECT_LE(depth(picked),
@@ -447,6 +450,32 @@ RpcExperimentConfig hedgedServingConfig(Protocol kind) {
     cfg.serving.tenants = {open, closed};
     cfg.serving.groups = {pool};
     return cfg;
+}
+
+TEST(ServingValidate, RunRejectsInvalidConfigsInEveryBuildType) {
+    // runRpcExperiment validates the serving config itself (not through an
+    // assert that NDEBUG removes): a bad config throws with the validator's
+    // message before any replica group is indexed.
+    const std::vector<std::function<void(RpcExperimentConfig&)>> mutations = {
+        [](RpcExperimentConfig& c) { c.serving.groups[0].replicas = 99; },
+        [](RpcExperimentConfig& c) { c.serving.tenants[0].clients = 13; },
+        [](RpcExperimentConfig& c) { c.serving.tenants[1].group = "nowhere"; },
+        [](RpcExperimentConfig& c) { c.serving.groups[0].hedgeMinSamples = 0; },
+    };
+    for (const auto& mutate : mutations) {
+        RpcExperimentConfig cfg = hedgedServingConfig(Protocol::Homa);
+        mutate(cfg);
+        const std::string why =
+            validateServingConfig(cfg.serving, cfg.net.hostCount());
+        ASSERT_NE(why, "");
+        try {
+            runRpcExperiment(cfg);
+            ADD_FAILURE() << "no throw for: " << why;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 void expectLedgersBalance(const RpcExperimentResult& r, const char* what) {

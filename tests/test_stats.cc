@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "sim/random.h"
 #include "stats/percentile.h"
 #include "stats/report.h"
 #include "stats/slowdown.h"
@@ -75,6 +78,47 @@ TEST(Samples, InterleavedAddAndQuery) {
     s.add(20);
     s.add(30);
     EXPECT_DOUBLE_EQ(s.median(), 20.0);  // re-sorts after new samples
+}
+
+TEST(StreamingQuantile, EmptyIsZero) {
+    StreamingQuantile q(0.9);
+    EXPECT_EQ(q.count(), 0u);
+    EXPECT_EQ(q.value(), 0.0);
+}
+
+// The hedge delay reads a StreamingQuantile where it used to read
+// Samples::percentile, and the serving goldens pin the delays; so the two
+// must agree exactly, after every sample, on tie-heavy streams.
+TEST(StreamingQuantile, MatchesSamplesPercentileAfterEveryAdd) {
+    const double ps[] = {0.0, 0.01, 0.5, 0.95, 0.99, 1.0};
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        Rng rng(seed);
+        Samples reference;
+        std::vector<StreamingQuantile> streams;
+        for (double p : ps) streams.emplace_back(p);
+        double run = 0;
+        for (int i = 0; i < 20000; i++) {
+            // Seed 1: eight distinct values. Seed 2: latencies rounded to
+            // whole microseconds. Seed 3: runs of one repeated value.
+            double v;
+            if (seed == 1) {
+                v = static_cast<double>(rng.below(8));
+            } else if (seed == 2) {
+                v = std::round(rng.exponential(20.0));
+            } else {
+                if (rng.chance(0.05)) run = rng.uniform(0, 100);
+                v = rng.chance(0.8) ? run : std::round(rng.uniform(0, 100));
+            }
+            reference.add(v);
+            for (StreamingQuantile& q : streams) q.add(v);
+            for (size_t j = 0; j < streams.size(); j++) {
+                ASSERT_EQ(streams[j].value(), reference.percentile(ps[j]))
+                    << "seed " << seed << ", p " << ps[j] << ", after "
+                    << i + 1 << " samples";
+                ASSERT_EQ(streams[j].count(), reference.count());
+            }
+        }
+    }
 }
 
 TEST(SlowdownTracker, RecordsIntoCorrectDecileBuckets) {

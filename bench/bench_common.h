@@ -23,24 +23,16 @@ inline bool fullScale() {
     return env != nullptr && std::strcmp(env, "full") == 0;
 }
 
-/// Scenario override for the figure benches: HOMA_SCENARIO takes a spec
-/// "<pattern>" or "<pattern>+on-off" (uniform|permutation|rack-skew|
-/// incast|pareto|closed-loop|dag); dag also takes parameters
-/// ("dag:fanout=40,depth=2"), every other pattern keeps its
-/// ScenarioConfig defaults. Trace replay needs an explicit schedule, so
-/// it is driven via example_run_experiment --trace instead.
+/// Scenario override for the figure benches: HOMA_SCENARIO takes any
+/// scenarioFromSpec spec — a pattern with its keys plus modifiers, e.g.
+/// "incast:hotspots=4+on-off:on_us=50" or "trace:path=FILE"; keys left
+/// out keep their ScenarioConfig defaults.
 inline ScenarioConfig scenarioFromEnv() {
     ScenarioConfig s;
+    std::string err;
     const char* env = std::getenv("HOMA_SCENARIO");
-    if (env != nullptr && !scenarioFromSpec(env, s)) {
-        std::fprintf(stderr, "HOMA_SCENARIO: unknown scenario spec '%s'\n",
-                     env);
-        std::exit(2);
-    }
-    if (s.kind == TrafficPatternKind::TraceReplay) {
-        std::fprintf(stderr,
-                     "HOMA_SCENARIO=trace needs a schedule; use "
-                     "example_run_experiment --trace FILE\n");
+    if (env != nullptr && !scenarioFromSpec(env, s, &err)) {
+        std::fprintf(stderr, "HOMA_SCENARIO '%s': %s\n", env, err.c_str());
         std::exit(2);
     }
     if (s.serving.enabled()) {
@@ -52,7 +44,8 @@ inline ScenarioConfig scenarioFromEnv() {
         std::exit(2);
     }
     if (s.kind == TrafficPatternKind::ClosedLoop ||
-        s.kind == TrafficPatternKind::Dag) {
+        s.kind == TrafficPatternKind::Dag ||
+        s.kind == TrafficPatternKind::TraceReplay) {
         // These modes set their own rate, so a bench's load axis
         // collapses: points differing only in load run identical
         // experiments.

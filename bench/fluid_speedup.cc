@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
 
     ExperimentResult packetBig, hybridBig;
     ExperimentConfig hybridCfg = big;
-    hybridCfg.fluidThresholdBytes = kThreshold;
+    hybridCfg.traffic.scenario.fluidThresholdBytes = kThreshold;
     const double hybridWall = timedRun(hybridCfg, hybridBig);
     std::printf("%d hosts, load %.2f, fluid >= %lld B: %.2f s hybrid "
                 "(%llu fluid flows, %llu packet msgs)\n",
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     small.traffic.load = 0.5;
     small.traffic.stop = milliseconds(2);
     ExperimentConfig neverFluid = small;
-    neverFluid.fluidThresholdBytes = int64_t{1} << 40;
+    neverFluid.traffic.scenario.fluidThresholdBytes = int64_t{1} << 40;
     ExperimentResult disabled, never;
     timedRun(small, disabled);
     timedRun(neverFluid, never);
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
             packet.traffic.scenario.hotspotDegree = 16;
         }
         ExperimentConfig hybrid = packet;
-        hybrid.fluidThresholdBytes = kFidelityThreshold;
+        hybrid.traffic.scenario.fluidThresholdBytes = kFidelityThreshold;
         ExperimentResult pr, hr;
         timedRun(packet, pr);
         timedRun(hybrid, hr);

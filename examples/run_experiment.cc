@@ -2,19 +2,21 @@
 //
 //   example_run_experiment --workload W3 --protocol Homa --load 0.8 --window-ms 10
 //
-// plus optional knobs: [--seed N] [--wire-priorities N] [--sched K]
-// [--unsched K] [--cutoff BYTES] [--unsched-bytes N] [--reservation F]
-// [--grant-policy srpt|fifo|rr|unlimited] [--single-rack] [--wasted-bw]
-// and scenario selection: [--pattern NAME] [--hotspots N]
-// [--hotspot-degree N] [--hotspot-fraction F] [--rack-local F]
-// [--pareto-alpha F] [--trace FILE]
+// Run knobs (protocol, workload, load, seed, Homa parameters) fill the
+// ExperimentConfig directly. Scenario flags (--pattern and its knobs,
+// --trace, --on-off, --fault, --ecmp, --fluid, --topo, --single-rack,
+// --tenants, --replicas) are sugar: each desugars to a fragment of one
+// scenario spec, which scenarioFromSpec parses and validates once — the
+// grammar HOMA_SCENARIO takes (docs/SCENARIOS.md maps every flag to its
+// spec key).
 //
 // Prints the slowdown-by-decile table, utilization, queue occupancy, and
 // priority usage for any protocol/workload/parameter combination — every
 // figure in bench/ is a scripted set of these runs.
 #include <algorithm>
-#include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "driver/experiment.h"
 #include "driver/rpc_experiment.h"
@@ -37,96 +39,83 @@ namespace {
         "  --sim-threads N         parallel engine: shard the simulation\n"
         "                          across N threads (default 1 = serial;\n"
         "                          results are identical either way)\n"
-        "  --single-rack           16-host cluster instead of the fat-tree\n"
-        "  --topo SPEC             topology override, comma-separated k=v:\n"
-        "                          racks, hosts (per rack), aggr (per pod),\n"
-        "                          core, oversub, pods — e.g.\n"
-        "                          'racks=8,hosts=4,aggr=2,core=2,oversub=4'\n"
-        "                          (core>0 adds a third tier; see\n"
-        "                          docs/SCENARIOS.md)\n"
-        "  --pattern NAME          uniform|permutation|rack-skew|incast|\n"
-        "                          pareto|trace|closed-loop (default uniform)\n"
-        "  --hotspots N            incast: number of hot receivers\n"
-        "  --hotspot-degree N      incast: fan-in senders per hotspot\n"
-        "  --hotspot-fraction F    incast: sender traffic share to hotspot\n"
-        "  --rack-local F          rack-skew: intra-rack fraction\n"
-        "  --pareto-alpha F        pareto: sender popularity exponent\n"
-        "  --trace FILE            trace replay: '<us> <src> <dst> <bytes>'\n"
-        "  --window N              closed-loop: outstanding messages per\n"
-        "                          host (default 4; --load is ignored)\n"
-        "  --think-us F            closed-loop: mean think time before the\n"
-        "                          next message (default 0)\n"
-        "  --dag-fanout N          dag: children per internal node (8)\n"
-        "  --dag-depth N           dag: fan-out levels below the root (2)\n"
-        "  --dag-window N          dag: trees outstanding per root (1)\n"
-        "  --dag-roots N           dag: coordinator hosts (0 = all)\n"
-        "  --dag-req BYTES         dag: request size per edge (320)\n"
-        "  --dag-stage-sizes LIST  dag: per-stage response bytes, comma-\n"
-        "                          separated root-to-leaf (default: sample\n"
-        "                          the workload distribution per node)\n"
-        "  --dag-join F            dag: fraction of depth>=2 nodes that\n"
-        "                          gain a second parent one stage up (0;\n"
-        "                          turns the trees into general DAGs)\n"
-        "  --dag-straggler F       dag: straggler fraction of leaves (0)\n"
-        "  --dag-straggler-factor F  dag: straggler size multiplier (10)\n"
-        "  --on-off                ON-OFF bursts: modulate any pattern with\n"
-        "                          per-host burst/idle periods\n"
-        "  --on-us F / --off-us F  mean burst / idle duration (100 / 300)\n"
-        "  --on-off-dist NAME      period distribution: exp|pareto\n"
-        "  --on-off-shape F        pareto period shape (> 1, default 1.5)\n"
-        "  --fault SPEC            inject a fault (repeatable), e.g.\n"
+        "  Homa knobs: --wire-priorities N, --sched N, --unsched N,\n"
+        "              --cutoff BYTES, --unsched-bytes N, --reservation F,\n"
+        "              --overcommit N, --no-incast-control,\n"
+        "              --grant-policy srpt|fifo|rr|unlimited\n"
+        "  --wasted-bw             sample the Figure 16 wasted-bw probe\n"
+        "scenario flags: each is a fragment of one scenario spec (the\n"
+        "HOMA_SCENARIO grammar; docs/SCENARIOS.md). A knob joins its\n"
+        "segment only when --pattern/--trace/--on-off names that segment.\n"
+        "  --pattern NAME          the pattern segment: uniform|permutation|\n"
+        "                          rack-skew|incast|pareto|trace|closed-loop|\n"
+        "                          dag (default uniform)\n"
+        "  --hotspots N            incast:hotspots — hot receivers (1)\n"
+        "  --hotspot-degree N      incast:degree — senders per hotspot (16)\n"
+        "  --hotspot-fraction F    incast:fraction — share to hotspot (1)\n"
+        "  --rack-local F          rack-skew:local — intra-rack share (0.8)\n"
+        "  --pareto-alpha F        pareto:alpha — popularity exponent (1.2)\n"
+        "  --trace FILE            trace:path — replay '<us> <src> <dst>\n"
+        "                          <bytes>' lines (names the trace pattern)\n"
+        "  --window N              closed-loop:window — outstanding\n"
+        "                          messages per host (4; --load ignored)\n"
+        "  --think-us F            closed-loop:think_us — mean think time (0)\n"
+        "  --dag-fanout N          dag:fanout — children per node (8)\n"
+        "  --dag-depth N           dag:depth — levels below the root (2)\n"
+        "  --dag-window N          dag:window — trees per root (1)\n"
+        "  --dag-roots N           dag:roots — coordinators (0 = all)\n"
+        "  --dag-req BYTES         dag:req — request bytes per edge (320)\n"
+        "  --dag-stage-sizes LIST  dag:resp — per-stage response bytes,\n"
+        "                          root-to-leaf, e.g. 16000,2000 (default:\n"
+        "                          sample the workload per node)\n"
+        "  --dag-join F            dag:join — second-parent fraction (0)\n"
+        "  --dag-straggler F       dag:straggler — straggling leaves (0)\n"
+        "  --dag-straggler-factor F  dag:factor — straggler size x (10)\n"
+        "  --on-off                +on-off — per-host burst/idle periods\n"
+        "  --on-us F / --off-us F  on-off:on_us / off_us — mean burst /\n"
+        "                          idle duration (100 / 300)\n"
+        "  --on-off-dist NAME      on-off:dist — exp|pareto (exp)\n"
+        "  --on-off-shape F        on-off:shape — pareto shape > 1 (1.5)\n"
+        "  --fault SPEC            +fault:SPEC (repeatable), e.g.\n"
         "                          'flap=aggr0,at=5ms,for=1ms',\n"
         "                          'kill=aggr1,at=3ms',\n"
         "                          'degrade=host3,at=1ms,for=5ms,bw=0.5,\n"
         "                          delay=10us,drop=0.01',\n"
         "                          'flap-train=aggr2,count=5,gap=2ms,\n"
-        "                          for=500us' (see docs/SCENARIOS.md)\n"
-        "  --ecmp                  deterministic per-message ECMP uplink\n"
-        "                          hash over alive uplinks (default: the\n"
-        "                          paper's per-packet spraying)\n"
-        "  --fluid BYTES           fluid fast path: simulate messages of\n"
-        "                          >= BYTES as flow-level fluid transfers\n"
-        "                          (0 = everything fluid; default: all\n"
-        "                          packet-level). Not combinable with\n"
-        "                          --fault; fluid runs are always serial\n"
-        "  --tenants SPEC          multi-tenant serving mode (runs the RPC\n"
-        "                          harness): ';'-separated tenants of comma\n"
-        "                          k=v — name, wl (W1..W5), mode\n"
-        "                          (open|closed), load, window, think_us,\n"
-        "                          clients, group — e.g. 'name=web,wl=W1,\n"
-        "                          load=0.6,clients=4;name=batch,wl=W5,\n"
-        "                          mode=closed,window=8,clients=2'\n"
-        "  --replicas SPEC         replica groups for --tenants:\n"
-        "                          ';'-separated groups of comma k=v —\n"
-        "                          name, n (replicas; 0 = rest), lb\n"
-        "                          (rr|random|p2c), hedge (off|pNN),\n"
-        "                          hedge_floor_us, hedge_min\n"
-        "                          (see docs/SCENARIOS.md)\n"
-        "  Homa knobs: --wire-priorities N, --sched N, --unsched N,\n"
-        "              --cutoff BYTES, --unsched-bytes N, --reservation F,\n"
-        "              --overcommit N, --no-incast-control,\n"
-        "              --grant-policy srpt|fifo|rr|unlimited\n"
-        "  --wasted-bw             sample the Figure 16 wasted-bw probe\n");
+        "                          for=500us'\n"
+        "  --ecmp                  +ecmp — per-message ECMP uplink hash\n"
+        "                          over alive uplinks (default: per-packet\n"
+        "                          spraying)\n"
+        "  --fluid BYTES           +fluid:BYTES — messages >= BYTES run as\n"
+        "                          fluid flows (0 = all; always serial)\n"
+        "  --topo SPEC             +topo:SPEC — topology override, k=v of\n"
+        "                          racks, hosts (per rack), aggr (per pod),\n"
+        "                          core, oversub, pods, e.g.\n"
+        "                          'racks=8,hosts=4,aggr=2,core=2,oversub=4'\n"
+        "  --single-rack           +topo:racks=1,hosts=16,aggr=0 — the\n"
+        "                          16-host cluster\n"
+        "  --tenants SPEC          +tenants:SPEC — multi-tenant serving on\n"
+        "                          the RPC harness: ';'-separated tenants of\n"
+        "                          k=v — name, wl, mode (open|closed), load,\n"
+        "                          window, think_us, clients, group\n"
+        "  --replicas SPEC         +replicas:SPEC — replica groups: name,\n"
+        "                          n (0 = rest), lb (rr|random|p2c), hedge\n"
+        "                          (off|pNN), hedge_floor_us, hedge_min\n");
     std::exit(2);
 }
 
-// Strict numeric parsing for the --dag-* flags (range checks happen once
-// on the assembled config via validateDagConfig): a typo gets the usage
-// message, not an uncaught std::stoi exception.
-void dagInt(const std::string& flag, const std::string& val, int& out) {
-    if (!parseDagInt(val, out)) {
-        std::fprintf(stderr, "%s: expected an integer, got '%s'\n",
-                     flag.c_str(), val.c_str());
-        usage();
-    }
-}
-
-void dagDouble(const std::string& flag, const std::string& val, double& out) {
-    if (!parseDagDouble(val, out)) {
+// Parses a numeric flag value with the spec grammar's strict parsers: a
+// typo gets the usage message, not an uncaught exception.
+template <typename T>
+T number(const std::string& flag, const std::string& text,
+         bool (*parse)(const std::string&, T&)) {
+    T value{};
+    if (!parse(text, value)) {
         std::fprintf(stderr, "%s: expected a number, got '%s'\n",
-                     flag.c_str(), val.c_str());
+                     flag.c_str(), text.c_str());
         usage();
     }
+    return value;
 }
 
 Protocol parseProtocol(const std::string& s) {
@@ -139,6 +128,48 @@ Protocol parseProtocol(const std::string& s) {
     usage();
 }
 
+WorkloadId parseWorkload(const std::string& s) {
+    for (WorkloadId id : kAllWorkloads) {
+        if (s == workload(id).name()) return id;
+    }
+    std::fprintf(stderr, "unknown workload: %s\n", s.c_str());
+    usage();
+}
+
+// Scenario knob flags: each sets one key of one spec segment.
+struct Knob {
+    const char* flag;
+    const char* head;
+    const char* key;
+};
+
+constexpr Knob kKnobs[] = {
+    {"--hotspots", "incast", "hotspots"},
+    {"--hotspot-degree", "incast", "degree"},
+    {"--hotspot-fraction", "incast", "fraction"},
+    {"--rack-local", "rack-skew", "local"},
+    {"--pareto-alpha", "pareto", "alpha"},
+    {"--trace", "trace", "path"},
+    {"--window", "closed-loop", "window"},
+    {"--think-us", "closed-loop", "think_us"},
+    {"--dag-fanout", "dag", "fanout"},
+    {"--dag-depth", "dag", "depth"},
+    {"--dag-window", "dag", "window"},
+    {"--dag-roots", "dag", "roots"},
+    {"--dag-req", "dag", "req"},
+    {"--dag-stage-sizes", "dag", "resp"},
+    {"--dag-join", "dag", "join"},
+    {"--dag-straggler", "dag", "straggler"},
+    {"--dag-straggler-factor", "dag", "factor"},
+    {"--on-us", "on-off", "on_us"},
+    {"--off-us", "on-off", "off_us"},
+    {"--on-off-dist", "on-off", "dist"},
+    {"--on-off-shape", "on-off", "shape"},
+};
+
+// NetworkConfig::singleRack16() as a topo body over the fat-tree base.
+constexpr const char* kSingleRackTopo = "racks=1,hosts=16,aggr=0";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -146,189 +177,83 @@ int main(int argc, char** argv) {
     cfg.traffic.stop = milliseconds(10);
 
     int sched = 0, unsched = 0;
-    bool closedLoopFlagSeen = false, onOffKnobSeen = false;
-    bool dagFlagSeen = false, traceSeen = false, patternSeen = false;
-    bool singleRackSeen = false;
-    bool tenantsSeen = false, replicasSeen = false;
-    ServingConfig servingCfg;
-    std::string topoSpec;
-    TrafficPatternKind explicitPattern = TrafficPatternKind::Uniform;
+    // The scenario spec's parts: the heads the command line names (the
+    // pattern via --pattern/--trace, then on-off), each knob's (head,
+    // "k=v"), and the keyless segments in flag order.
+    std::vector<std::string> patterns, named;
+    std::vector<std::pair<std::string, std::string>> keys;
+    std::vector<std::string> modifiers;
+    // Run flags the serving harness has no use for.
+    std::vector<std::string> messageOnly;
+    auto addName = [](std::vector<std::string>& heads, const std::string& h) {
+        if (std::find(heads.begin(), heads.end(), h) == heads.end()) {
+            heads.push_back(h);
+        }
+    };
     for (int i = 1; i < argc; i++) {
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc) usage();
             return argv[++i];
         };
-        if (arg == "--workload") {
-            cfg.traffic.workload = workloadFromName(next());
+        const Knob* knob = std::find_if(
+            std::begin(kKnobs), std::end(kKnobs),
+            [&arg](const Knob& k) { return arg == k.flag; });
+        if (knob != std::end(kKnobs)) {
+            keys.emplace_back(knob->head,
+                              std::string(knob->key) + "=" + next());
+            // The one knob that names its segment: a file is a trace.
+            if (arg == "--trace") addName(patterns, "trace");
+        } else if (arg == "--pattern") {
+            addName(patterns, next());
+        } else if (arg == "--on-off") {
+            addName(named, "on-off");
+        } else if (arg == "--ecmp") {
+            modifiers.push_back("ecmp");
+        } else if (arg == "--fluid") {
+            modifiers.push_back("fluid:" + next());
+        } else if (arg == "--fault") {
+            modifiers.push_back("fault:" + next());
+        } else if (arg == "--topo") {
+            modifiers.push_back("topo:" + next());
+        } else if (arg == "--single-rack") {
+            modifiers.push_back(std::string("topo:") + kSingleRackTopo);
+        } else if (arg == "--tenants") {
+            modifiers.push_back("tenants:" + next());
+        } else if (arg == "--replicas") {
+            modifiers.push_back("replicas:" + next());
+        } else if (arg == "--workload") {
+            cfg.traffic.workload = parseWorkload(next());
+            messageOnly.push_back(arg);
         } else if (arg == "--protocol") {
             cfg.proto.kind = parseProtocol(next());
         } else if (arg == "--load") {
-            cfg.traffic.load = std::stod(next());
+            cfg.traffic.load = number(arg, next(), parseSpecDouble);
+            messageOnly.push_back(arg);
         } else if (arg == "--window-ms") {
-            cfg.traffic.stop = milliseconds(std::stol(next()));
+            cfg.traffic.stop = milliseconds(number(arg, next(), parseSpecInt));
         } else if (arg == "--seed") {
-            cfg.traffic.seed = std::stoull(next());
+            cfg.traffic.seed = number(arg, next(), parseSpecUint64);
         } else if (arg == "--sim-threads") {
-            cfg.parallel.threads = std::stoi(next());
-        } else if (arg == "--single-rack") {
-            cfg.net = NetworkConfig::singleRack16();
-            singleRackSeen = true;
-        } else if (arg == "--topo") {
-            topoSpec = next();
-        } else if (arg == "--pattern") {
-            const std::string name = next();
-            if (!patternFromName(name, cfg.traffic.scenario.kind)) {
-                std::fprintf(stderr, "unknown pattern: %s\n", name.c_str());
-                usage();
-            }
-            patternSeen = true;
-            explicitPattern = cfg.traffic.scenario.kind;
-        } else if (arg == "--hotspots") {
-            cfg.traffic.scenario.hotspots = std::stoi(next());
-        } else if (arg == "--hotspot-degree") {
-            cfg.traffic.scenario.hotspotDegree = std::stoi(next());
-        } else if (arg == "--hotspot-fraction") {
-            cfg.traffic.scenario.hotspotFraction = std::stod(next());
-        } else if (arg == "--rack-local") {
-            cfg.traffic.scenario.rackLocalFraction = std::stod(next());
-        } else if (arg == "--pareto-alpha") {
-            cfg.traffic.scenario.paretoAlpha = std::stod(next());
-        } else if (arg == "--trace") {
-            cfg.traffic.scenario.kind = TrafficPatternKind::TraceReplay;
-            cfg.traffic.scenario.tracePath = next();
-            traceSeen = true;
-        } else if (arg == "--dag-fanout") {
-            dagInt(arg, next(), cfg.traffic.scenario.dag.fanout);
-            dagFlagSeen = true;
-        } else if (arg == "--dag-depth") {
-            dagInt(arg, next(), cfg.traffic.scenario.dag.depth);
-            dagFlagSeen = true;
-        } else if (arg == "--dag-window") {
-            dagInt(arg, next(), cfg.traffic.scenario.dag.window);
-            dagFlagSeen = true;
-        } else if (arg == "--dag-roots") {
-            dagInt(arg, next(), cfg.traffic.scenario.dag.roots);
-            dagFlagSeen = true;
-        } else if (arg == "--dag-req") {
-            const std::string val = next();
-            if (!parseDagBytes(val, cfg.traffic.scenario.dag.requestBytes)) {
-                std::fprintf(stderr,
-                             "--dag-req: expected bytes in [1, 2^32), got "
-                             "'%s'\n", val.c_str());
-                usage();
-            }
-            dagFlagSeen = true;
-        } else if (arg == "--dag-stage-sizes") {
-            // "16000,2000" is the spec grammar's resp=16000/2000; reuse
-            // its validating parser instead of hand-rolling one.
-            std::string list = next();
-            for (char& c : list) {
-                if (c == ',') c = '/';
-            }
-            DagConfig parsed;
-            if (!parseDagSpec("resp=" + list, parsed)) {
-                std::fprintf(stderr,
-                             "--dag-stage-sizes: expected a comma-"
-                             "separated byte list (each in [1, 2^32)), "
-                             "got '%s'\n", list.c_str());
-                usage();
-            }
-            cfg.traffic.scenario.dag.stageResponseBytes =
-                std::move(parsed.stageResponseBytes);
-            dagFlagSeen = true;
-        } else if (arg == "--dag-join") {
-            dagDouble(arg, next(), cfg.traffic.scenario.dag.joinFraction);
-            dagFlagSeen = true;
-        } else if (arg == "--dag-straggler") {
-            dagDouble(arg, next(),
-                      cfg.traffic.scenario.dag.stragglerFraction);
-            dagFlagSeen = true;
-        } else if (arg == "--dag-straggler-factor") {
-            dagDouble(arg, next(), cfg.traffic.scenario.dag.stragglerFactor);
-            dagFlagSeen = true;
-        } else if (arg == "--window") {
-            cfg.traffic.scenario.closedLoopWindow = std::stoi(next());
-            closedLoopFlagSeen = true;
-        } else if (arg == "--think-us") {
-            cfg.traffic.scenario.thinkTime = static_cast<Duration>(
-                std::stod(next()) * static_cast<double>(kMicrosecond));
-            closedLoopFlagSeen = true;
-        } else if (arg == "--on-off") {
-            cfg.traffic.scenario.onOff.enabled = true;
-        } else if (arg == "--on-us") {
-            cfg.traffic.scenario.onOff.onMean = static_cast<Duration>(
-                std::stod(next()) * static_cast<double>(kMicrosecond));
-            onOffKnobSeen = true;
-        } else if (arg == "--off-us") {
-            cfg.traffic.scenario.onOff.offMean = static_cast<Duration>(
-                std::stod(next()) * static_cast<double>(kMicrosecond));
-            onOffKnobSeen = true;
-        } else if (arg == "--on-off-dist") {
-            const std::string name = next();
-            if (!onOffDistFromName(name, cfg.traffic.scenario.onOff.dist)) {
-                std::fprintf(stderr, "unknown on-off dist: %s\n", name.c_str());
-                usage();
-            }
-            onOffKnobSeen = true;
-        } else if (arg == "--on-off-shape") {
-            cfg.traffic.scenario.onOff.paretoShape = std::stod(next());
-            onOffKnobSeen = true;
-        } else if (arg == "--fault") {
-            const std::string spec = next();
-            FaultSpec fault;
-            std::string err;
-            if (!parseFaultSpec(spec, fault, &err)) {
-                std::fprintf(stderr, "--fault '%s': %s\n", spec.c_str(),
-                             err.c_str());
-                usage();
-            }
-            cfg.traffic.scenario.faults.push_back(fault);
-        } else if (arg == "--ecmp") {
-            cfg.traffic.scenario.ecmpUplinks = true;
-        } else if (arg == "--fluid") {
-            const std::string val = next();
-            if (val.empty() ||
-                val.find_first_not_of("0123456789") != std::string::npos) {
-                std::fprintf(stderr,
-                             "--fluid: expected a non-negative byte "
-                             "threshold, got '%s'\n", val.c_str());
-                usage();
-            }
-            cfg.fluidThresholdBytes = std::stoll(val);
-        } else if (arg == "--tenants") {
-            const std::string spec = next();
-            std::string terr;
-            if (!parseTenantsSpec(spec, servingCfg.tenants, &terr)) {
-                std::fprintf(stderr, "--tenants '%s': %s\n", spec.c_str(),
-                             terr.c_str());
-                usage();
-            }
-            tenantsSeen = true;
-        } else if (arg == "--replicas") {
-            const std::string spec = next();
-            std::string rerr;
-            if (!parseReplicasSpec(spec, servingCfg.groups, &rerr)) {
-                std::fprintf(stderr, "--replicas '%s': %s\n", spec.c_str(),
-                             rerr.c_str());
-                usage();
-            }
-            replicasSeen = true;
+            cfg.parallel.threads = number(arg, next(), parseSpecInt);
+            messageOnly.push_back(arg);
         } else if (arg == "--wire-priorities") {
-            cfg.proto.homa.wirePriorities = std::stoi(next());
+            cfg.proto.homa.wirePriorities = number(arg, next(), parseSpecInt);
         } else if (arg == "--sched") {
-            sched = std::stoi(next());
+            sched = number(arg, next(), parseSpecInt);
         } else if (arg == "--unsched") {
-            unsched = std::stoi(next());
+            unsched = number(arg, next(), parseSpecInt);
         } else if (arg == "--cutoff") {
             cfg.proto.homa.explicitCutoffs.push_back(
-                static_cast<uint32_t>(std::stoul(next())));
+                number(arg, next(), parseSpecBytes));
         } else if (arg == "--unsched-bytes") {
-            cfg.proto.homa.unschedBytesLimit = std::stoll(next());
+            cfg.proto.homa.unschedBytesLimit =
+                number(arg, next(), parseSpecInt64);
         } else if (arg == "--reservation") {
-            cfg.proto.homa.oldestReservation = std::stod(next());
+            cfg.proto.homa.oldestReservation =
+                number(arg, next(), parseSpecDouble);
         } else if (arg == "--overcommit") {
-            cfg.proto.homa.overcommitDegree = std::stoi(next());
+            cfg.proto.homa.overcommitDegree = number(arg, next(), parseSpecInt);
         } else if (arg == "--grant-policy") {
             const std::string name = next();
             bool found = false;
@@ -348,186 +273,53 @@ int main(int argc, char** argv) {
             cfg.proto.homa.incastControl = false;
         } else if (arg == "--wasted-bw") {
             cfg.measureWastedBandwidth = true;
+            messageOnly.push_back(arg);
         } else {
             usage();
         }
     }
-    const bool dagMode = cfg.traffic.scenario.kind == TrafficPatternKind::Dag;
-    if (replicasSeen && !tenantsSeen) {
-        std::fprintf(stderr,
-                     "--replicas needs --tenants: replica groups without "
-                     "tenants serve nobody\n");
+
+    // Assemble the spec: the pattern first, each named head with its keys,
+    // then keys whose segment no flag named — left bare, which the parser
+    // rejects, so a knob never implies its segment — then the modifiers.
+    if (patterns.empty()) patterns.push_back("uniform");
+    named.insert(named.begin(), patterns.begin(), patterns.end());
+    std::string spec;
+    for (const std::string& head : named) {
+        std::string seg = head;
+        for (const auto& [h, kv] : keys) {
+            if (h == head) seg += (seg.size() == head.size() ? ":" : ",") + kv;
+        }
+        spec += (spec.empty() ? "" : "+") + seg;
+    }
+    for (const auto& [h, kv] : keys) {
+        if (std::find(named.begin(), named.end(), h) == named.end()) {
+            spec += "+" + kv;
+        }
+    }
+    for (const std::string& m : modifiers) spec += "+" + m;
+
+    const ScenarioConfig& s = cfg.traffic.scenario;
+    std::string err;
+    if (!scenarioFromSpec(spec, cfg.traffic.scenario, &err)) {
+        std::fprintf(stderr, "scenario '%s': %s\n", spec.c_str(), err.c_str());
         usage();
     }
-    if (tenantsSeen) {
-        // Serving mode runs the RPC harness: tenants own the arrival
-        // processes and destinations, so every message-level traffic
-        // shaping flag would be silently ignored — reject instead.
-        if (traceSeen) {
-            std::fprintf(stderr,
-                         "--tenants contradicts --trace: tenants issue "
-                         "their own RPCs, a replayed schedule cannot — "
-                         "pick one\n");
-            usage();
-        }
-        if (dagMode || dagFlagSeen) {
-            std::fprintf(stderr,
-                         "--tenants contradicts --dag-*/--pattern dag: "
-                         "serving mode and dag mode are separate RPC "
-                         "harnesses — pick one\n");
-            usage();
-        }
-        if (patternSeen) {
-            std::fprintf(stderr,
-                         "--tenants contradicts --pattern %s: tenant "
-                         "configs own destination choice and arrival "
-                         "modes\n",
-                         patternName(explicitPattern));
-            usage();
-        }
-        if (closedLoopFlagSeen) {
-            std::fprintf(stderr,
-                         "--window/--think-us do not apply to --tenants: "
-                         "use per-tenant 'mode=closed,window=N,think_us=F' "
-                         "in the tenant spec\n");
-            usage();
-        }
-        if (cfg.traffic.scenario.onOff.enabled || onOffKnobSeen) {
-            std::fprintf(stderr,
-                         "--on-off does not compose with --tenants: each "
-                         "tenant carries its own arrival mode\n");
-            usage();
-        }
-        if (!cfg.traffic.scenario.faults.empty()) {
-            std::fprintf(stderr,
-                         "--tenants does not compose with --fault: the "
-                         "serving harness's call ledgers assume a "
-                         "fault-free fabric\n");
-            usage();
-        }
-        if (cfg.fluidThresholdBytes >= 0) {
-            std::fprintf(stderr,
-                         "--tenants does not compose with --fluid: serving "
-                         "runs account per RPC on the packet engine\n");
-            usage();
-        }
-        if (cfg.traffic.scenario.ecmpUplinks) {
-            std::fprintf(stderr,
-                         "--ecmp does not apply to --tenants: the RPC "
-                         "harness runs the paper's per-packet spraying\n");
-            usage();
-        }
-        if (cfg.measureWastedBandwidth) {
-            std::fprintf(stderr,
-                         "--wasted-bw does not apply to --tenants: the "
-                         "wasted-bandwidth probe is message-level\n");
-            usage();
-        }
-    }
-    if (cfg.traffic.scenario.kind == TrafficPatternKind::TraceReplay &&
-        cfg.traffic.scenario.tracePath.empty()) {
-        std::fprintf(stderr,
-                     "pattern 'trace' needs a schedule: use --trace FILE\n");
+    // The final topology (the fat-tree base the parser validated the topo
+    // segment against); runExperiment applies the same segment itself.
+    NetworkConfig net = cfg.net;
+    if (!s.topoSpec.empty() && !parseTopoSpec(s.topoSpec, net, &err)) {
+        std::fprintf(stderr, "--topo '%s': %s\n", s.topoSpec.c_str(),
+                     err.c_str());
         usage();
     }
-    if (cfg.traffic.scenario.kind == TrafficPatternKind::TraceReplay &&
-        cfg.traffic.scenario.onOff.enabled) {
-        std::fprintf(stderr,
-                     "--on-off does not compose with trace replay (the "
-                     "trace carries its own timing)\n");
-        usage();
-    }
-    if (traceSeen && (dagMode || dagFlagSeen)) {
-        std::fprintf(stderr,
-                     "--dag-* flags contradict --trace: a replayed "
-                     "schedule has no request trees — pick one\n");
-        usage();
-    }
-    if (traceSeen && patternSeen &&
-        explicitPattern != TrafficPatternKind::TraceReplay) {
-        std::fprintf(stderr,
-                     "--trace contradicts --pattern %s: the replayed "
-                     "schedule dictates the traffic — drop one\n",
-                     patternName(explicitPattern));
-        usage();
-    }
-    if (dagFlagSeen && !dagMode) {
-        std::fprintf(stderr,
-                     "--dag-* flags need --pattern dag (current pattern: "
-                     "%s)\n", patternName(cfg.traffic.scenario.kind));
-        usage();
-    }
-    if (cfg.traffic.scenario.closedLoopWindow < 1) {
-        std::fprintf(stderr, "--window must be >= 1\n");
-        usage();
-    }
-    if (closedLoopFlagSeen &&
-        cfg.traffic.scenario.kind != TrafficPatternKind::ClosedLoop) {
-        std::fprintf(stderr,
-                     dagMode ? "--window/--think-us only apply to "
-                               "--pattern closed-loop; dag trees are "
-                               "windowed with --dag-window\n"
-                             : "--window/--think-us only apply to "
-                               "--pattern closed-loop\n");
-        usage();
-    }
-    if (dagMode) {
-        if (const char* err = validateDagConfig(cfg.traffic.scenario.dag)) {
-            std::fprintf(stderr, "bad dag config: %s\n", err);
-            usage();
-        }
-    }
-    if (!topoSpec.empty()) {
-        if (singleRackSeen) {
-            std::fprintf(stderr,
-                         "--topo contradicts --single-rack: pick one way to "
-                         "name the topology\n");
-            usage();
-        }
-        std::string terr;
-        if (!parseTopoSpec(topoSpec, cfg.net, &terr)) {
-            std::fprintf(stderr, "--topo '%s': %s\n", topoSpec.c_str(),
-                         terr.c_str());
-            usage();
-        }
-    }
-    // Fault targets check against the *final* topology (--single-rack or
-    // --topo may come before or after --fault on the command line).
-    for (const FaultSpec& fault : cfg.traffic.scenario.faults) {
-        const std::string err = validateFaultSpec(fault, cfg.net);
-        if (!err.empty()) {
+    for (const FaultSpec& fault : s.faults) {
+        const std::string why = validateFaultSpec(fault, net);
+        if (!why.empty()) {
             std::fprintf(stderr, "--fault '%s': %s\n",
-                         faultSpecToString(fault).c_str(), err.c_str());
+                         faultSpecToString(fault).c_str(), why.c_str());
             usage();
         }
-    }
-    if (cfg.fluidThresholdBytes >= 0 && !cfg.traffic.scenario.faults.empty()) {
-        std::fprintf(stderr,
-                     "--fluid contradicts --fault: fluid flows bypass the "
-                     "switches faults act on — pick one\n");
-        usage();
-    }
-    if (cfg.traffic.scenario.ecmpUplinks && cfg.net.singleRack()) {
-        std::fprintf(stderr,
-                     "--ecmp contradicts --single-rack: a single rack has "
-                     "no uplinks to hash across\n");
-        usage();
-    }
-    if (onOffKnobSeen && !cfg.traffic.scenario.onOff.enabled) {
-        std::fprintf(stderr,
-                     "--on-us/--off-us/--on-off-dist/--on-off-shape need "
-                     "--on-off\n");
-        usage();
-    }
-    if (cfg.traffic.scenario.onOff.enabled &&
-        (cfg.traffic.scenario.onOff.onMean <= 0 ||
-         cfg.traffic.scenario.onOff.offMean < 0 ||
-         (cfg.traffic.scenario.onOff.dist == OnOffDist::Pareto &&
-          cfg.traffic.scenario.onOff.paretoShape <= 1.0))) {
-        std::fprintf(stderr,
-                     "--on-us must be > 0, --off-us >= 0, and the pareto "
-                     "shape > 1\n");
-        usage();
     }
     if (unsched > 0) cfg.proto.homa.unschedPriorities = unsched;
     if (sched > 0) {
@@ -539,18 +331,24 @@ int main(int argc, char** argv) {
         }
     }
 
-    if (tenantsSeen) {
+    if (s.serving.enabled()) {
+        if (!messageOnly.empty()) {
+            std::fprintf(stderr,
+                         "%s does not apply to --tenants: tenants carry "
+                         "their own workloads and loads, and the serving "
+                         "harness runs serially without the message-level "
+                         "probes\n",
+                         messageOnly.front().c_str());
+            usage();
+        }
         RpcExperimentConfig rc;
         // The RPC harness defaults to the paper's single-switch cluster
         // (§5.1); --topo / --single-rack override it like everywhere else.
-        rc.net = (singleRackSeen || !topoSpec.empty())
-                     ? cfg.net
-                     : NetworkConfig::singleRack16();
+        rc.net = s.topoSpec.empty() ? NetworkConfig::singleRack16() : net;
         rc.proto = cfg.proto;
         rc.seed = cfg.traffic.seed;
         rc.stop = cfg.traffic.stop;
-        rc.parallel = cfg.parallel;
-        rc.serving = servingCfg;
+        rc.serving = s.serving;
         const std::string why =
             validateServingConfig(rc.serving, rc.net.hostCount());
         if (!why.empty()) {
@@ -625,45 +423,26 @@ int main(int argc, char** argv) {
     // Trace replay and closed loop ignore --load (the schedule or the
     // window sets the rate itself).
     std::string loadStr = "load n/a (trace-driven)";
-    if (cfg.traffic.scenario.kind == TrafficPatternKind::ClosedLoop) {
+    if (s.kind == TrafficPatternKind::ClosedLoop) {
         loadStr = "load n/a (closed loop, W=";
-        loadStr += std::to_string(cfg.traffic.scenario.closedLoopWindow);
+        loadStr += std::to_string(s.closedLoopWindow);
         loadStr += ')';
-    } else if (dagMode) {
+    } else if (s.kind == TrafficPatternKind::Dag) {
         char dagStr[96];
         std::snprintf(dagStr, sizeof(dagStr),
                       "load n/a (dag, fanout %d depth %d, W=%d)",
-                      cfg.traffic.scenario.dag.fanout,
-                      cfg.traffic.scenario.dag.depth,
-                      cfg.traffic.scenario.dag.window);
+                      s.dag.fanout, s.dag.depth, s.dag.window);
         loadStr = dagStr;
-    } else if (cfg.traffic.scenario.kind != TrafficPatternKind::TraceReplay) {
+    } else if (s.kind != TrafficPatternKind::TraceReplay) {
         loadStr = "load ";
         loadStr += std::to_string(static_cast<int>(100 * cfg.traffic.load));
         loadStr += '%';
     }
-    std::string patternStr = patternName(cfg.traffic.scenario.kind);
-    if (cfg.traffic.scenario.ecmpUplinks) patternStr += "+ecmp";
-    if (cfg.fluidThresholdBytes >= 0) {
-        patternStr += "+fluid:" + std::to_string(cfg.fluidThresholdBytes);
-    }
-    for (const FaultSpec& fault : cfg.traffic.scenario.faults) {
-        patternStr += "+fault:" + faultSpecToString(fault);
-    }
-    if (cfg.traffic.scenario.onOff.enabled) {
-        char onOffStr[80];
-        std::snprintf(onOffStr, sizeof(onOffStr),
-                      "+on-off(%s %.0f/%.0f us)",
-                      onOffDistName(cfg.traffic.scenario.onOff.dist),
-                      toMicros(cfg.traffic.scenario.onOff.onMean),
-                      toMicros(cfg.traffic.scenario.onOff.offMean));
-        patternStr += onOffStr;
-    }
     std::printf(
-        "%s on %s, %s, pattern %s, %s, window %.0f ms, seed %llu\n\n",
-        protocolName(cfg.proto.kind), topologySummary(cfg.net).c_str(),
-        dist.name().c_str(), patternStr.c_str(),
-        loadStr.c_str(), toSeconds(cfg.traffic.stop) * 1e3,
+        "%s on %s, %s, scenario %s, %s, window %.0f ms, seed %llu\n\n",
+        protocolName(cfg.proto.kind), topologySummary(net).c_str(),
+        dist.name().c_str(), scenarioToSpec(s).c_str(), loadStr.c_str(),
+        toSeconds(cfg.traffic.stop) * 1e3,
         static_cast<unsigned long long>(cfg.traffic.seed));
 
     ExperimentResult r = runExperiment(cfg);
@@ -747,7 +526,7 @@ int main(int argc, char** argv) {
             "peak outstanding %d/%d\n",
             static_cast<unsigned long long>(cl.totalCompleted()),
             cl.aggregateOpsPerSec(), cl.aggregateGbps(), r.maxOutstanding,
-            cfg.traffic.scenario.closedLoopWindow);
+            s.closedLoopWindow);
         std::printf(
             "  per-client ops: min %llu / max %llu;   latency (us): "
             "p50 %.1f, p99 %.1f, mean %.1f\n",
@@ -764,7 +543,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(dag.trees()), dag.treesPerSec(),
             dag.aggregateGbps(),
             static_cast<unsigned long long>(dag.totalNodes()),
-            r.maxOutstanding, cfg.traffic.scenario.dag.window);
+            r.maxOutstanding, s.dag.window);
         std::printf(
             "  tree completion (us): p50 %.1f, p99 %.1f, mean %.1f;   "
             "tree slowdown: p50 %.2f, p99 %.2f\n",

@@ -135,14 +135,6 @@ double meanBusyFraction(const std::vector<const EgressPort*>& ports,
                    static_cast<double>(ports.size()));
 }
 
-/// Effective fluid threshold: the scenario's "fluid:" modifier wins over
-/// the config knob (mirroring the topo: override); -1 = no fluid path.
-int64_t effectiveFluidThreshold(const ExperimentConfig& cfg) {
-    return cfg.traffic.scenario.fluidThresholdBytes >= 0
-               ? cfg.traffic.scenario.fluidThresholdBytes
-               : cfg.fluidThresholdBytes;
-}
-
 /// Shards to request from the Network. Closed-loop and DAG scenarios have
 /// zero-lookahead feedback (a delivery on the destination's shard refills
 /// the source's window at the same instant), the wasted-bandwidth
@@ -154,7 +146,7 @@ int requestedShards(const ExperimentConfig& cfg) {
     const bool shardable = kind != TrafficPatternKind::ClosedLoop &&
                            kind != TrafficPatternKind::Dag &&
                            !cfg.measureWastedBandwidth &&
-                           effectiveFluidThreshold(cfg) < 0;
+                           cfg.traffic.scenario.fluidThresholdBytes < 0;
     return shardable ? std::max(1, cfg.parallel.threads) : 1;
 }
 
@@ -190,7 +182,7 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
         netCfg.uplinkPolicy = UplinkPolicy::Ecmp;
     }
 
-    const int64_t fluidThreshold = effectiveFluidThreshold(cfg);
+    const int64_t fluidThreshold = cfg.traffic.scenario.fluidThresholdBytes;
     if (fluidThreshold >= 0 && !cfg.traffic.scenario.faults.empty()) {
         // Fluid flows bypass the switches faults act on; a hybrid fault
         // run would silently break conservation. The spec parser rejects

@@ -72,13 +72,6 @@ struct ExperimentConfig {
     /// scenarios the engine cannot shard (closed-loop, DAG, single-rack,
     /// wasted-bandwidth probes, fluid hybrid) silently run serially.
     ParallelConfig parallel;
-    /// Fluid fast path (sim/fluid.h): messages with length >= this many
-    /// bytes become flow-level fluid transfers instead of packets; 0 sends
-    /// everything fluid, -1 (default) disables the engine entirely. A
-    /// scenario "fluid:" modifier overrides this. Fluid runs are serial
-    /// (any `parallel.threads` yields byte-identical results) and do not
-    /// compose with fault injection (runExperiment aborts).
-    int64_t fluidThresholdBytes = -1;
 };
 
 struct ExperimentResult {

@@ -74,18 +74,22 @@ bool parseFaultDuration(const std::string& v, Duration& out,
                         std::string* err) {
     char* end = nullptr;
     const double n = std::strtod(v.c_str(), &end);
-    double unit = 0;
-    if (std::strcmp(end, "ns") == 0) unit = 1e-9;
-    else if (std::strcmp(end, "us") == 0) unit = 1e-6;
-    else if (std::strcmp(end, "ms") == 0) unit = 1e-3;
-    else if (std::strcmp(end, "s") == 0) unit = 1.0;
-    if (end == v.c_str() || unit == 0 || !std::isfinite(n) || n < 0) {
+    Duration unit = 0;
+    if (std::strcmp(end, "ns") == 0) unit = kNanosecond;
+    else if (std::strcmp(end, "us") == 0) unit = kMicrosecond;
+    else if (std::strcmp(end, "ms") == 0) unit = kMillisecond;
+    else if (std::strcmp(end, "s") == 0) unit = kSecond;
+    // One rounding of an exact unit, so "15us" is 15 us to the tick (and
+    // faultSpecToString's output parses back); at most 1e6 s.
+    const double ticks = n * static_cast<double>(unit);
+    if (end == v.c_str() || unit == 0 || !std::isfinite(n) || n < 0 ||
+        ticks > 1e6 * static_cast<double>(kSecond)) {
         if (err) {
             *err = "bad duration '" + v + "' (a number with ns/us/ms/s)";
         }
         return false;
     }
-    out = static_cast<Duration>(n * unit * static_cast<double>(kSecond));
+    out = std::llround(ticks);
     return true;
 }
 

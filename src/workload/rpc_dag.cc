@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <climits>
-#include <cmath>
-#include <cstdlib>
 
 namespace homa {
 
@@ -44,82 +41,6 @@ const char* validateDagConfig(const DagConfig& cfg) {
 int dagRootCount(const DagConfig& cfg, int hostCount) {
     if (cfg.roots <= 0) return hostCount;
     return std::min(cfg.roots, hostCount);
-}
-
-bool parseDagInt(const std::string& v, int& out) {
-    if (v.empty()) return false;
-    char* end = nullptr;
-    const long n = std::strtol(v.c_str(), &end, 10);
-    if (*end != '\0' || n < INT_MIN || n > INT_MAX) return false;
-    out = static_cast<int>(n);
-    return true;
-}
-
-bool parseDagBytes(const std::string& v, uint32_t& out) {
-    if (v.empty()) return false;
-    // strtoull accepts a leading '-' and wraps; reject signs explicitly.
-    if (v[0] == '-' || v[0] == '+') return false;
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-    if (*end != '\0' || n < 1 || n > 0xFFFFFFFFull) return false;
-    out = static_cast<uint32_t>(n);
-    return true;
-}
-
-bool parseDagDouble(const std::string& v, double& out) {
-    if (v.empty()) return false;
-    char* end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (*end != '\0' || !std::isfinite(d)) return false;
-    out = d;
-    return true;
-}
-
-bool parseDagSpec(const std::string& body, DagConfig& out) {
-    DagConfig cfg;
-    size_t pos = 0;
-    while (pos <= body.size()) {
-        const size_t comma = std::min(body.find(',', pos), body.size());
-        const std::string pair = body.substr(pos, comma - pos);
-        pos = comma + 1;
-        const size_t eq = pair.find('=');
-        if (eq == std::string::npos) return false;
-        const std::string key = pair.substr(0, eq);
-        const std::string val = pair.substr(eq + 1);
-        if (key == "fanout") {
-            if (!parseDagInt(val, cfg.fanout)) return false;
-        } else if (key == "depth") {
-            if (!parseDagInt(val, cfg.depth)) return false;
-        } else if (key == "window") {
-            if (!parseDagInt(val, cfg.window)) return false;
-        } else if (key == "roots") {
-            if (!parseDagInt(val, cfg.roots)) return false;
-        } else if (key == "req") {
-            if (!parseDagBytes(val, cfg.requestBytes)) return false;
-        } else if (key == "resp") {
-            cfg.stageResponseBytes.clear();
-            size_t p = 0;
-            while (p <= val.size()) {
-                const size_t slash = std::min(val.find('/', p), val.size());
-                uint32_t bytes = 0;
-                if (!parseDagBytes(val.substr(p, slash - p), bytes)) return false;
-                cfg.stageResponseBytes.push_back(bytes);
-                p = slash + 1;
-            }
-        } else if (key == "straggler") {
-            if (!parseDagDouble(val, cfg.stragglerFraction)) return false;
-        } else if (key == "factor") {
-            if (!parseDagDouble(val, cfg.stragglerFactor)) return false;
-        } else if (key == "join") {
-            if (!parseDagDouble(val, cfg.joinFraction)) return false;
-        } else {
-            return false;
-        }
-        if (comma == body.size()) break;
-    }
-    if (validateDagConfig(cfg) != nullptr) return false;
-    out = cfg;
-    return true;
 }
 
 DagTreeSpec sampleDagTree(

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -93,23 +92,6 @@ inline HostId uniformHostExcept(int hostCount, HostId exclude, Rng& rng) {
     if (h >= exclude) h++;
     return h;
 }
-
-/// Strict single-field parsers behind the spec grammar, shared with the
-/// CLI so `--dag-fanout abc` errors instead of throwing: whole-string
-/// numeric format checks (parseDagBytes additionally enforces
-/// [1, 2^32)), no cross-field validation — run validateDagConfig on the
-/// assembled config for that.
-bool parseDagInt(const std::string& text, int& out);
-bool parseDagBytes(const std::string& text, uint32_t& out);
-bool parseDagDouble(const std::string& text, double& out);
-
-/// Parses the body of a "dag:<body>" scenario spec — comma-separated
-/// key=value pairs: fanout, depth, window, roots, req (request bytes),
-/// resp (per-stage response bytes, '/'-separated, e.g. resp=16000/2000),
-/// straggler (leaf fraction), factor (size multiplier). Returns false and
-/// leaves `out` untouched on unknown keys, malformed values, or a config
-/// validateDagConfig rejects.
-bool parseDagSpec(const std::string& body, DagConfig& out);
 
 /// One node of a sampled tree. Nodes are stored in BFS order (root at
 /// index 0, children after their parent), so a parent's index is always

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -57,6 +58,264 @@ bool onOffDistFromName(const std::string& name, OnOffDist& out) {
     return false;
 }
 
+bool parseSpecInt64(const std::string& v, int64_t& out) {
+    if (v.empty()) return false;
+    char* end = nullptr;
+    errno = 0;
+    const long long n = std::strtoll(v.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE) return false;
+    out = n;
+    return true;
+}
+
+bool parseSpecInt(const std::string& v, int& out) {
+    int64_t n = 0;
+    if (!parseSpecInt64(v, n) || n < INT_MIN || n > INT_MAX) return false;
+    out = static_cast<int>(n);
+    return true;
+}
+
+bool parseSpecUint64(const std::string& v, uint64_t& out) {
+    if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
+        return false;
+    }
+    errno = 0;
+    const unsigned long long n = std::strtoull(v.c_str(), nullptr, 10);
+    if (errno == ERANGE) return false;
+    out = n;
+    return true;
+}
+
+bool parseSpecBytes(const std::string& v, uint32_t& out) {
+    uint64_t n = 0;
+    if (!parseSpecUint64(v, n) || n < 1 || n > 0xFFFFFFFFull) return false;
+    out = static_cast<uint32_t>(n);
+    return true;
+}
+
+bool parseSpecDouble(const std::string& v, double& out) {
+    if (v.empty()) return false;
+    char* end = nullptr;
+    const double d = std::strtod(v.c_str(), &end);
+    if (*end != '\0' || !std::isfinite(d)) return false;
+    out = d;
+    return true;
+}
+
+std::vector<std::string> splitSpec(const std::string& text, char sep) {
+    std::vector<std::string> out;
+    size_t pos = 0;
+    for (;;) {
+        const size_t at = std::min(text.find(sep, pos), text.size());
+        out.push_back(text.substr(pos, at - pos));
+        if (at == text.size()) return out;
+        pos = at + 1;
+    }
+}
+
+bool parseSpecMicros(const std::string& v, Duration& out) {
+    double us = 0;
+    if (!parseSpecDouble(v, us) || us < 0 || us > 1e9) return false;
+    out = std::llround(us * static_cast<double>(kMicrosecond));
+    return true;
+}
+
+std::string formatSpecNumber(double v) {
+    char buf[32];
+    for (int digits = 6; digits <= 17; digits++) {
+        std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
+        if (std::strtod(buf, nullptr) == v) break;
+    }
+    std::string s = buf;
+    s.erase(std::remove(s.begin(), s.end(), '+'), s.end());  // "1e+20"
+    return s;
+}
+
+namespace {
+
+bool parseByteList(const std::string& v, std::vector<uint32_t>& out) {
+    std::vector<uint32_t> list;
+    for (const std::string& item : splitSpec(v, v.find('/') == std::string::npos
+                                                  ? ','
+                                                  : '/')) {
+        uint32_t bytes = 0;
+        if (!parseSpecBytes(item, bytes)) return false;
+        list.push_back(bytes);
+    }
+    out = std::move(list);
+    return true;
+}
+
+std::string fmtByteList(const std::vector<uint32_t>& list) {
+    std::string s;
+    for (uint32_t b : list) s += (s.empty() ? "" : "/") + std::to_string(b);
+    return s;
+}
+
+// One k=v key of a keyed segment head: what its value must look like, and
+// how it writes into / reads from the config (the reader drives
+// scenarioToSpec, so every key round-trips by construction). Pattern
+// heads come first, so a key's first owner is the pattern it names.
+struct SpecKey {
+    const char* head;
+    const char* key;
+    const char* expect;
+    bool (*set)(const std::string& value, ScenarioConfig& s);
+    std::string (*get)(const ScenarioConfig& s);
+};
+
+const SpecKey kSpecKeys[] = {
+    {"incast", "hotspots", "an integer",
+     [](auto& v, auto& s) { return parseSpecInt(v, s.hotspots); },
+     [](auto& s) { return std::to_string(s.hotspots); }},
+    {"incast", "degree", "an integer",
+     [](auto& v, auto& s) { return parseSpecInt(v, s.hotspotDegree); },
+     [](auto& s) { return std::to_string(s.hotspotDegree); }},
+    {"incast", "fraction", "a number",
+     [](auto& v, auto& s) { return parseSpecDouble(v, s.hotspotFraction); },
+     [](auto& s) { return formatSpecNumber(s.hotspotFraction); }},
+    {"rack-skew", "local", "a number",
+     [](auto& v, auto& s) { return parseSpecDouble(v, s.rackLocalFraction); },
+     [](auto& s) { return formatSpecNumber(s.rackLocalFraction); }},
+    {"pareto", "alpha", "a number",
+     [](auto& v, auto& s) { return parseSpecDouble(v, s.paretoAlpha); },
+     [](auto& s) { return formatSpecNumber(s.paretoAlpha); }},
+    {"trace", "path", "a file path",
+     [](auto& v, auto& s) { s.tracePath = v; return !v.empty(); },
+     [](auto& s) { return s.tracePath; }},
+    {"closed-loop", "window", "an integer",
+     [](auto& v, auto& s) { return parseSpecInt(v, s.closedLoopWindow); },
+     [](auto& s) { return std::to_string(s.closedLoopWindow); }},
+    {"closed-loop", "think_us", "non-negative microseconds",
+     [](auto& v, auto& s) { return parseSpecMicros(v, s.thinkTime); },
+     [](auto& s) { return formatSpecNumber(toMicros(s.thinkTime)); }},
+    {"dag", "fanout", "an integer",
+     [](auto& v, auto& s) { return parseSpecInt(v, s.dag.fanout); },
+     [](auto& s) { return std::to_string(s.dag.fanout); }},
+    {"dag", "depth", "an integer",
+     [](auto& v, auto& s) { return parseSpecInt(v, s.dag.depth); },
+     [](auto& s) { return std::to_string(s.dag.depth); }},
+    {"dag", "window", "an integer",
+     [](auto& v, auto& s) { return parseSpecInt(v, s.dag.window); },
+     [](auto& s) { return std::to_string(s.dag.window); }},
+    {"dag", "roots", "an integer",
+     [](auto& v, auto& s) { return parseSpecInt(v, s.dag.roots); },
+     [](auto& s) { return std::to_string(s.dag.roots); }},
+    {"dag", "req", "bytes in [1, 2^32)",
+     [](auto& v, auto& s) { return parseSpecBytes(v, s.dag.requestBytes); },
+     [](auto& s) { return std::to_string(s.dag.requestBytes); }},
+    {"dag", "resp", "a '/'- or ','-separated list of bytes in [1, 2^32)",
+     [](auto& v, auto& s) {
+         return parseByteList(v, s.dag.stageResponseBytes);
+     },
+     [](auto& s) { return fmtByteList(s.dag.stageResponseBytes); }},
+    {"dag", "straggler", "a number",
+     [](auto& v, auto& s) {
+         return parseSpecDouble(v, s.dag.stragglerFraction);
+     },
+     [](auto& s) { return formatSpecNumber(s.dag.stragglerFraction); }},
+    {"dag", "factor", "a number",
+     [](auto& v, auto& s) { return parseSpecDouble(v, s.dag.stragglerFactor); },
+     [](auto& s) { return formatSpecNumber(s.dag.stragglerFactor); }},
+    {"dag", "join", "a number",
+     [](auto& v, auto& s) { return parseSpecDouble(v, s.dag.joinFraction); },
+     [](auto& s) { return formatSpecNumber(s.dag.joinFraction); }},
+    {"on-off", "on_us", "non-negative microseconds",
+     [](auto& v, auto& s) { return parseSpecMicros(v, s.onOff.onMean); },
+     [](auto& s) { return formatSpecNumber(toMicros(s.onOff.onMean)); }},
+    {"on-off", "off_us", "non-negative microseconds",
+     [](auto& v, auto& s) { return parseSpecMicros(v, s.onOff.offMean); },
+     [](auto& s) { return formatSpecNumber(toMicros(s.onOff.offMean)); }},
+    {"on-off", "dist", "exp or pareto",
+     [](auto& v, auto& s) { return onOffDistFromName(v, s.onOff.dist); },
+     [](auto& s) { return std::string(onOffDistName(s.onOff.dist)); }},
+    {"on-off", "shape", "a number",
+     [](auto& v, auto& s) { return parseSpecDouble(v, s.onOff.paretoShape); },
+     [](auto& s) { return formatSpecNumber(s.onOff.paretoShape); }},
+};
+
+// "a, b, c": the heads that own `key`, or the keys `head` takes.
+std::string keyOwners(const std::string& key) {
+    std::string s;
+    for (const SpecKey& k : kSpecKeys) {
+        if (key == k.key) s += (s.empty() ? "" : ", ") + std::string(k.head);
+    }
+    return s;
+}
+
+std::string keysOf(const std::string& head) {
+    std::string s;
+    for (const SpecKey& k : kSpecKeys) {
+        if (head == k.head) s += (s.empty() ? "" : ", ") + std::string(k.key);
+    }
+    return s;
+}
+
+// Applies a keyed segment's "k=v,k=v" body. A piece without '=' continues
+// the previous value, so lists and paths may hold commas.
+bool applyKeys(const std::string& head, const std::string& body,
+               ScenarioConfig& s, std::string& why) {
+    std::vector<std::pair<std::string, std::string>> pairs;
+    for (const std::string& piece : splitSpec(body, ',')) {
+        const size_t eq = piece.find('=');
+        if (eq != std::string::npos) {
+            pairs.emplace_back(piece.substr(0, eq), piece.substr(eq + 1));
+        } else if (!pairs.empty()) {
+            pairs.back().second += "," + piece;
+        } else {
+            why = head + ": expected k=v, got '" + piece + "'";
+            return false;
+        }
+    }
+    for (const auto& [key, value] : pairs) {
+        const SpecKey* spec = nullptr;
+        for (const SpecKey& k : kSpecKeys) {
+            if (head == k.head && key == k.key) spec = &k;
+        }
+        if (spec == nullptr) {
+            const std::string keys = keysOf(head);
+            const std::string owners = keyOwners(key);
+            why = "unknown " + head + " key '" + key + "' (" +
+                  (keys.empty() ? head + " takes no keys" : "keys: " + keys) +
+                  (owners.empty() ? ""
+                                  : "; " + key + " is a key of " + owners) +
+                  ")";
+            return false;
+        }
+        if (!spec->set(value, s)) {
+            why = head + " key " + key + ": expected " + spec->expect +
+                  ", got '" + value + "'";
+            return false;
+        }
+    }
+    return true;
+}
+
+// Why a segment cannot ride along with tenants; any other pattern gets
+// the generic reason.
+const std::pair<const char*, const char*> kServingClashes[] = {
+    {"dag", "serving mode and dag mode are separate RPC harnesses"},
+    {"trace", "tenants issue their own RPCs, a replayed schedule cannot"},
+    {"closed-loop",
+     "closed-loop tenants set mode=closed,window=N,think_us=F in the "
+     "tenant spec"},
+    {"on-off", "each tenant carries its own arrival mode"},
+    {"fault", "the serving harness's call ledgers assume a fault-free fabric"},
+    {"fluid", "serving runs account per RPC on the packet engine"},
+    {"ecmp", "the RPC harness runs the paper's per-packet spraying"},
+};
+
+std::string servingClash(const std::string& head, const std::string& what) {
+    std::string reason = "tenant configs own destination choice and "
+                         "arrival modes";
+    for (const auto& [h, why] : kServingClashes) {
+        if (head == h) reason = why;
+    }
+    return "tenants do not compose with " + what + ": " + reason;
+}
+
+}  // namespace
+
 bool scenarioFromSpec(const std::string& spec, ScenarioConfig& out,
                       std::string* err) {
     auto fail = [err](const std::string& why) {
@@ -64,77 +323,73 @@ bool scenarioFromSpec(const std::string& spec, ScenarioConfig& out,
         return false;
     };
     // Split on '+': the first segment is the pattern, the rest modifiers.
-    std::vector<std::string> segs;
-    size_t pos = 0;
-    while (pos <= spec.size()) {
-        const size_t plus = std::min(spec.find('+', pos), spec.size());
-        segs.push_back(spec.substr(pos, plus - pos));
-        pos = plus + 1;
-        if (plus == spec.size()) break;
-    }
+    const std::vector<std::string> segs = splitSpec(spec, '+');
+    const bool serving =
+        std::any_of(segs.begin(), segs.end(), [](const std::string& seg) {
+            return seg.rfind("tenants:", 0) == 0;
+        });
 
     ScenarioConfig parsed;
-    const std::string& pattern = segs[0];
-    // Only dag takes ':' parameters: "dag:fanout=40,depth=2".
-    const size_t colon = pattern.find(':');
-    if (colon != std::string::npos) {
-        const std::string head = pattern.substr(0, colon);
-        if (head == "fault") {
-            return fail("a fault segment cannot come first: the spec is "
-                        "'<pattern>[+fault:...]' (e.g. "
-                        "\"uniform+fault:flap=aggr0,at=5ms,for=1ms\")");
-        }
-        if (head == "topo") {
-            return fail("a topo segment cannot come first: the spec is "
-                        "'<pattern>[+topo:...]' (e.g. "
-                        "\"uniform+topo:racks=8,aggr=2,core=2,oversub=4\")");
-        }
-        if (head == "fluid") {
-            return fail("a fluid segment cannot come first: the spec is "
-                        "'<pattern>[+fluid:<bytes>]' (e.g. "
-                        "\"uniform+fluid:20000\")");
-        }
-        if (head == "tenants") {
-            return fail("a tenants segment cannot come first: the spec is "
-                        "'uniform+tenants:...' (e.g. "
-                        "\"uniform+tenants:name=a,wl=W4,load=0.6\")");
-        }
-        if (head == "replicas") {
-            return fail("a replicas segment cannot come first: the spec is "
-                        "'uniform+tenants:...+replicas:...'");
-        }
-        if (head != "dag") {
-            return fail("pattern '" + head + "' takes no ':' parameters "
-                        "(only dag does)");
-        }
-        if (!parseDagSpec(pattern.substr(colon + 1), parsed.dag)) {
-            return fail("bad dag spec '" + pattern.substr(colon + 1) +
-                        "' (keys: fanout, depth, window, roots, req, resp, "
-                        "straggler, factor)");
-        }
-        parsed.kind = TrafficPatternKind::Dag;
-    } else if (!patternFromName(pattern, parsed.kind)) {
-        return fail("unknown pattern '" + pattern + "'");
-    }
-
-    for (size_t i = 1; i < segs.size(); i++) {
+    bool singleRackTopo = false;
+    std::string why;
+    for (size_t i = 0; i < segs.size(); i++) {
         const std::string& seg = segs[i];
-        if (seg == "on-off") {
+        const size_t colon = seg.find(':');
+        const bool keyed = colon != std::string::npos;
+        const std::string head = seg.substr(0, colon);
+        const std::string body = keyed ? seg.substr(colon + 1) : "";
+        if (!keyed && seg.find('=') != std::string::npos) {
+            // "incast+hotspots=2": a key cut off from its segment head.
+            const std::string key = seg.substr(0, seg.find('='));
+            const std::string owners = keyOwners(key);
+            const std::string owner = owners.substr(0, owners.find(','));
+            if (serving && !owner.empty()) {
+                return fail(servingClash(owner,
+                                         owner + " key '" + seg + "'"));
+            }
+            return fail("key '" + seg + "' is outside its segment: keys "
+                        "follow their segment head and ':'" +
+                        (owners.empty() ? std::string()
+                                        : " (" + key + " is a key of " +
+                                              owners + ")"));
+        }
+        TrafficPatternKind kind = TrafficPatternKind::Uniform;
+        const bool isPattern = patternFromName(head, kind);
+        if (i == 0) {
+            if (!isPattern) {
+                for (const char* mod : {"on-off", "ecmp", "topo", "fluid",
+                                        "fault", "tenants", "replicas"}) {
+                    if (head == mod) {
+                        return fail("a " + head + " segment cannot come "
+                                    "first: a spec starts with its pattern "
+                                    "(e.g. \"uniform+" + seg + "\")");
+                    }
+                }
+                return fail("unknown pattern '" + head + "'");
+            }
+            parsed.kind = kind;
+            if (keyed && !applyKeys(head, body, parsed, why)) return fail(why);
+        } else if (isPattern) {
+            return fail("pattern '" + head + "' after pattern '" +
+                        patternName(parsed.kind) +
+                        "': a spec names one pattern, in its first segment");
+        } else if (head == "on-off") {
             parsed.onOff.enabled = true;
+            if (keyed && !applyKeys(head, body, parsed, why)) return fail(why);
         } else if (seg == "ecmp") {
             parsed.ecmpUplinks = true;
-        } else if (seg.rfind("fault:", 0) == 0) {
+        } else if (head == "fault" && keyed) {
             FaultSpec fs;
             std::string ferr;
-            if (!parseFaultSpec(seg.substr(6), fs, &ferr)) {
-                return fail("bad fault spec '" + seg.substr(6) + "': " + ferr);
+            if (!parseFaultSpec(body, fs, &ferr)) {
+                return fail("bad fault spec '" + body + "': " + ferr);
             }
             parsed.faults.push_back(fs);
-        } else if (seg.rfind("topo:", 0) == 0) {
+        } else if (head == "topo" && keyed) {
             if (!parsed.topoSpec.empty()) {
-                return fail("at most one topo: segment per scenario");
+                return fail("at most one topo: segment per scenario (got '" +
+                            parsed.topoSpec + "' and '" + body + "')");
             }
-            const std::string body = seg.substr(5);
             // Eager validation against the default base so a bad spec fails
             // at parse time, not mid-experiment. The stored body re-applies
             // over the experiment's actual base config in runExperiment.
@@ -144,77 +399,56 @@ bool scenarioFromSpec(const std::string& spec, ScenarioConfig& out,
                 return fail("bad topo spec '" + body + "': " + terr);
             }
             parsed.topoSpec = body;
-        } else if (seg.rfind("fluid:", 0) == 0) {
+            singleRackTopo = probe.singleRack();
+        } else if (head == "fluid" && keyed) {
             if (parsed.fluidThresholdBytes >= 0) {
                 return fail("at most one fluid: segment per scenario");
             }
-            const std::string body = seg.substr(6);
-            if (body.empty() ||
-                body.find_first_not_of("0123456789") != std::string::npos) {
+            if (body.find_first_not_of("0123456789") != std::string::npos ||
+                !parseSpecInt64(body, parsed.fluidThresholdBytes)) {
                 return fail("bad fluid threshold '" + body +
                             "' (expected a non-negative byte count, e.g. "
                             "fluid:20000; 0 = everything fluid)");
             }
-            errno = 0;
-            const long long v = std::strtoll(body.c_str(), nullptr, 10);
-            if (errno != 0 || v < 0) {
-                return fail("fluid threshold '" + body + "' out of range");
-            }
-            parsed.fluidThresholdBytes = static_cast<int64_t>(v);
-        } else if (seg.rfind("tenants:", 0) == 0) {
+        } else if (head == "tenants" && keyed) {
             if (!parsed.serving.tenants.empty()) {
                 return fail("at most one tenants: segment per scenario");
             }
             std::string terr;
-            if (!parseTenantsSpec(seg.substr(8), parsed.serving.tenants,
-                                  &terr)) {
-                return fail("bad tenants spec '" + seg.substr(8) + "': " +
-                            terr);
+            if (!parseTenantsSpec(body, parsed.serving.tenants, &terr)) {
+                return fail("bad tenants spec '" + body + "': " + terr);
             }
-        } else if (seg.rfind("replicas:", 0) == 0) {
+        } else if (head == "replicas" && keyed) {
             if (!parsed.serving.groups.empty()) {
                 return fail("at most one replicas: segment per scenario");
             }
             std::string rerr;
-            if (!parseReplicasSpec(seg.substr(9), parsed.serving.groups,
-                                   &rerr)) {
-                return fail("bad replicas spec '" + seg.substr(9) + "': " +
-                            rerr);
+            if (!parseReplicasSpec(body, parsed.serving.groups, &rerr)) {
+                return fail("bad replicas spec '" + body + "': " + rerr);
             }
         } else {
             return fail("unknown scenario modifier '" + seg +
-                        "' (expected on-off, ecmp, topo:..., fluid:<bytes>, "
-                        "fault:..., tenants:..., or replicas:...)");
+                        "' (expected on-off[:...], ecmp, topo:..., "
+                        "fluid:<bytes>, fault:..., tenants:..., or "
+                        "replicas:...)");
         }
     }
-    if (parsed.fluidThresholdBytes >= 0 && !parsed.faults.empty()) {
-        return fail("fluid does not compose with fault injection: fluid "
-                    "flows bypass the switches faults act on");
-    }
-    if (!parsed.serving.groups.empty() && parsed.serving.tenants.empty()) {
-        return fail("a replicas: segment requires a tenants: segment "
-                    "(groups without tenants serve nobody)");
-    }
+
     if (parsed.serving.enabled()) {
         if (parsed.kind != TrafficPatternKind::Uniform) {
-            return fail("tenants require the 'uniform' pattern placeholder: "
-                        "tenant configs own destination choice and arrival "
-                        "modes, so '" + std::string(patternName(parsed.kind)) +
-                        "' would be ignored");
+            const std::string name = patternName(parsed.kind);
+            return fail(servingClash(
+                name, "pattern '" + name + "' (they require the 'uniform' "
+                      "pattern placeholder)"));
         }
-        if (parsed.onOff.enabled) {
-            return fail("tenants do not compose with on-off: each tenant "
-                        "carries its own arrival mode");
-        }
+        if (parsed.onOff.enabled) return fail(servingClash("on-off", "on-off"));
         if (!parsed.faults.empty()) {
-            return fail("tenants do not compose with fault injection: the "
-                        "serving harness's call ledgers assume a fault-free "
-                        "fabric");
+            return fail(servingClash("fault", "fault injection"));
         }
         if (parsed.fluidThresholdBytes >= 0) {
-            return fail("tenants do not compose with fluid: serving runs "
-                        "account per RPC on the packet engine");
+            return fail(servingClash("fluid", "fluid"));
         }
+        if (parsed.ecmpUplinks) return fail(servingClash("ecmp", "ecmp"));
         // Validate group references eagerly (host counts are checked at
         // run time against the actual topology).
         for (const TenantConfig& t : parsed.serving.tenants) {
@@ -224,8 +458,72 @@ bool scenarioFromSpec(const std::string& spec, ScenarioConfig& out,
             }
         }
     }
+    if (!parsed.serving.groups.empty() && parsed.serving.tenants.empty()) {
+        return fail("a replicas: segment requires a tenants: segment "
+                    "(replica groups without tenants serve nobody)");
+    }
+    if (parsed.kind == TrafficPatternKind::TraceReplay) {
+        if (parsed.tracePath.empty()) {
+            return fail("pattern 'trace' needs a schedule: "
+                        "trace:path=<file>");
+        }
+        if (parsed.onOff.enabled) {
+            return fail("trace does not compose with on-off: the trace "
+                        "carries its own timing");
+        }
+    }
+    if (parsed.fluidThresholdBytes >= 0 && !parsed.faults.empty()) {
+        return fail("fluid does not compose with fault injection: fluid "
+                    "flows bypass the switches faults act on");
+    }
+    if (parsed.ecmpUplinks && singleRackTopo) {
+        return fail("ecmp does not compose with the single-rack topo '" +
+                    parsed.topoSpec + "': a single rack has no uplinks to "
+                    "hash across");
+    }
+    if (parsed.closedLoopWindow < 1) {
+        return fail("closed-loop window must be >= 1");
+    }
+    const OnOffConfig& onOff = parsed.onOff;
+    if (onOff.onMean <= 0 ||
+        (onOff.dist == OnOffDist::Pareto && onOff.paretoShape <= 1.0)) {
+        return fail("on-off needs on_us > 0 and, for dist=pareto, a shape "
+                    "> 1");
+    }
+    if (const char* bad = validateDagConfig(parsed.dag)) {
+        return fail(std::string("bad dag config: ") + bad);
+    }
     out = parsed;
     return true;
+}
+
+std::string scenarioToSpec(const ScenarioConfig& s) {
+    const ScenarioConfig defaults;
+    // "<head>[:k=v,...]" over the keys that differ from the defaults.
+    auto keyed = [&](const std::string& head) {
+        std::string seg = head;
+        for (const SpecKey& k : kSpecKeys) {
+            if (head != k.head || k.get(s) == k.get(defaults)) continue;
+            seg += (seg.size() == head.size() ? ":" : ",") +
+                   std::string(k.key) + "=" + k.get(s);
+        }
+        return seg;
+    };
+    std::string spec = keyed(patternName(s.kind));
+    if (s.onOff.enabled) spec += "+" + keyed("on-off");
+    if (s.ecmpUplinks) spec += "+ecmp";
+    if (!s.topoSpec.empty()) spec += "+topo:" + s.topoSpec;
+    if (s.fluidThresholdBytes >= 0) {
+        spec += "+fluid:" + std::to_string(s.fluidThresholdBytes);
+    }
+    for (const FaultSpec& f : s.faults) spec += "+fault:" + faultSpecToString(f);
+    if (!s.serving.tenants.empty()) {
+        spec += "+tenants:" + tenantsSpecToString(s.serving.tenants);
+    }
+    if (!s.serving.groups.empty()) {
+        spec += "+replicas:" + replicasSpecToString(s.serving.groups);
+    }
+    return spec;
 }
 
 OnOffModulator::OnOffModulator(const OnOffConfig& cfg, Time start,

@@ -137,40 +137,87 @@ struct ScenarioConfig {
     // fleets with their own workloads and arrival modes against named
     // replica groups, run by the RPC harness (runRpcExperiment) rather
     // than the message-level generator — the CLI dispatches on
-    // serving.enabled(). Composes with "topo:" and "ecmp" only: the
-    // serving harness owns its arrival processes (no on-off), and its
-    // per-call accounting assumes the packet engine (no fluid, no
-    // faults). The pattern segment must be "uniform" (the placeholder —
-    // tenants override destination choice entirely).
+    // serving.enabled(). Composes with "topo:" only: the serving harness
+    // owns its arrival processes (no on-off), runs the paper's per-packet
+    // spraying (no ecmp), and its per-call accounting assumes the packet
+    // engine (no fluid, no faults). The pattern segment must be
+    // "uniform" (the placeholder — tenants override destination choice
+    // entirely).
     ServingConfig serving;
 
     // Fluid fast path ("fluid:" modifier): messages with length >= this
     // many bytes are simulated as flow-level fluid transfers (sim/fluid.h)
-    // instead of packet by packet; 0 sends everything fluid. -1 (default)
-    // defers to ExperimentConfig::fluidThresholdBytes (itself -1 =
-    // disabled). Does not compose with fault injection: fluid flows never
-    // touch the switches faults act on, so a hybrid fault run would break
-    // conservation silently — the spec parser rejects the combination.
+    // instead of packet by packet; 0 sends everything fluid, -1 (default)
+    // disables the engine. Fluid runs are serial (any thread count yields
+    // byte-identical results). Does not compose with fault injection:
+    // fluid flows never touch the switches faults act on, so a hybrid
+    // fault run would break conservation silently — the spec parser
+    // rejects the combination and runExperiment aborts on it.
     int64_t fluidThresholdBytes = -1;
 };
 
-/// Parses a scenario spec: a pattern segment followed by '+'-separated
-/// modifiers, e.g. "incast+on-off", "uniform+ecmp+fault:flap=aggr0,
-/// at=50ms,for=10ms+fault:degrade=host3,drop=0.01". The pattern leaves
-/// all knobs at defaults — except `dag`, which takes parameters:
-/// "dag[:k=v,k=v...]" (keys per parseDagSpec). Modifiers: "on-off",
-/// "ecmp", "topo:<body>" (parseTopoSpec; at most one), "fluid:<bytes>"
-/// (fluid fast-path threshold, a non-negative integer; at most one, and
-/// not combinable with fault segments), and any number of "fault:<body>"
-/// segments (parseFaultSpec). Serving modifiers: "tenants:<body>"
-/// (parseTenantsSpec; at most one, pattern must be "uniform", not
-/// combinable with on-off/fluid/fault) and "replicas:<body>"
-/// (parseReplicasSpec; requires a tenants segment).
+/// Parses a scenario spec — the one grammar behind HOMA_SCENARIO, the
+/// runner's scenario flags (each desugars to a fragment of a spec; see
+/// docs/SCENARIOS.md for the flag-to-key table) and programmatic users.
+///
+///   <pattern>[:k=v,...][+<modifier>[:<body>]]...
+///
+/// The first segment names the pattern; its keys are
+///   incast       hotspots, degree, fraction
+///   rack-skew    local
+///   pareto       alpha
+///   closed-loop  window, think_us
+///   trace        path (required)
+///   dag          fanout, depth, window, roots, req, resp, straggler,
+///                factor, join
+/// (uniform and permutation take none; unset keys keep the
+/// ScenarioConfig defaults). A comma-separated piece without '=' continues
+/// the previous value, so lists (resp=16000,2000 or resp=16000/2000) and
+/// paths may hold commas. Modifiers: "on-off[:on_us=,off_us=,dist=exp|
+/// pareto,shape=]", "ecmp", "topo:<body>" (parseTopoSpec; at most one),
+/// "fluid:<bytes>" (a non-negative integer; at most one), any number of
+/// "fault:<body>" (parseFaultSpec), "tenants:<body>" (parseTenantsSpec;
+/// at most one) and "replicas:<body>" (parseReplicasSpec).
+///
+/// Composition rules, checked here once for every caller: trace takes no
+/// on-off; fluid takes no faults; ecmp needs uplinks (a single-rack topo
+/// has none); tenants need the "uniform" placeholder pattern and take
+/// none of on-off, ecmp, fluid or faults; replicas need tenants. Ranges:
+/// closed-loop window >= 1, on_us > 0, off_us >= 0, pareto shape > 1,
+/// fractions in [0, 1], the dag limits of validateDagConfig.
+///
 /// Returns false and leaves `out` untouched on malformed specs, with a
-/// human-readable reason in *err (if given). This is the syntax the
-/// figure benches accept via HOMA_SCENARIO.
+/// human-readable reason in *err (if given).
 bool scenarioFromSpec(const std::string& spec, ScenarioConfig& out,
                       std::string* err = nullptr);
+
+/// Canonical spec of a scenario: the pattern with its non-default keys,
+/// then every set modifier. scenarioFromSpec(scenarioToSpec(s)) rebuilds
+/// `s` for any config scenarioFromSpec accepts, except that fault
+/// segments keep faultSpecToString's precision (durations to the ns,
+/// bw/drop to 6 significant digits) and traceText, which has no spec
+/// form, is not printed.
+std::string scenarioToSpec(const ScenarioConfig& s);
+
+/// Strict whole-string number parsers behind the spec grammar, shared
+/// with the runner's numeric flags so `--load abc` errors instead of
+/// throwing. parseSpecUint64 takes digits only (no sign, so "-1" cannot
+/// wrap); parseSpecBytes additionally enforces [1, 2^32); parseSpecDouble
+/// rejects non-finite values. No range checks beyond that.
+bool parseSpecInt(const std::string& text, int& out);
+bool parseSpecInt64(const std::string& text, int64_t& out);
+bool parseSpecUint64(const std::string& text, uint64_t& out);
+bool parseSpecBytes(const std::string& text, uint32_t& out);
+bool parseSpecDouble(const std::string& text, double& out);
+/// "_us" keys: non-negative microseconds (at most 1000 s), rounded to the
+/// clock tick so a printed duration parses back to the same tick.
+bool parseSpecMicros(const std::string& text, Duration& out);
+/// Shortest decimal that parses back to exactly `v`, with no '+' (the
+/// segment separator): "0.8", "1e20".
+std::string formatSpecNumber(double v);
+/// Splits on `sep`, keeping empty fields (they become parse errors
+/// downstream, with better messages than silent dropping would give).
+std::vector<std::string> splitSpec(const std::string& text, char sep);
 
 /// One trace-replay record; `at` is an offset from TrafficConfig::start.
 struct TraceRecord {

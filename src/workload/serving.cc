@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "workload/rpc_dag.h"  // parseDagInt/Double: the strict parsers
+#include "workload/scenario.h"  // the spec grammar's strict parsers
 
 namespace homa {
 
@@ -179,20 +179,6 @@ std::string validateServingConfig(const ServingConfig& cfg, int hostCount) {
 
 namespace {
 
-/// Splits `body` on `sep`, keeping empty fields (they become parse errors
-/// downstream, with better messages than silent dropping would give).
-std::vector<std::string> splitOn(const std::string& body, char sep) {
-    std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos <= body.size()) {
-        const size_t at = std::min(body.find(sep, pos), body.size());
-        out.push_back(body.substr(pos, at - pos));
-        pos = at + 1;
-        if (at == body.size()) break;
-    }
-    return out;
-}
-
 bool splitKeyValue(const std::string& pair, std::string& key,
                    std::string& val) {
     const size_t eq = pair.find('=');
@@ -213,19 +199,6 @@ bool workloadFromSpecName(const std::string& name, WorkloadId& out) {
     return false;
 }
 
-bool parseMicros(const std::string& val, Duration& out) {
-    double us = 0;
-    if (!parseDagDouble(val, us) || us < 0) return false;
-    out = static_cast<Duration>(us * static_cast<double>(kMicrosecond));
-    return true;
-}
-
-std::string fmtDouble(double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
-}
-
 }  // namespace
 
 bool parseTenantsSpec(const std::string& body, std::vector<TenantConfig>& out,
@@ -236,12 +209,12 @@ bool parseTenantsSpec(const std::string& body, std::vector<TenantConfig>& out,
     };
     if (body.empty()) return fail("empty tenant spec");
     std::vector<TenantConfig> tenants;
-    for (const std::string& seg : splitOn(body, ';')) {
+    for (const std::string& seg : splitSpec(body, ';')) {
         if (seg.empty()) return fail("empty tenant entry (stray ';')");
         TenantConfig t;
         t.name.clear();  // must be named explicitly
         bool loadSeen = false, windowSeen = false, thinkSeen = false;
-        for (const std::string& pair : splitOn(seg, ',')) {
+        for (const std::string& pair : splitSpec(seg, ',')) {
             std::string key, val;
             if (!splitKeyValue(pair, key, val)) {
                 return fail("tenant entry '" + seg + "': expected k=v, got '" +
@@ -260,25 +233,25 @@ bool parseTenantsSpec(const std::string& body, std::vector<TenantConfig>& out,
                                 "got '" + val + "'");
                 }
             } else if (key == "load") {
-                if (!parseDagDouble(val, t.load)) {
+                if (!parseSpecDouble(val, t.load)) {
                     return fail("tenant key load: expected a number, got '" +
                                 val + "'");
                 }
                 loadSeen = true;
             } else if (key == "window") {
-                if (!parseDagInt(val, t.window)) {
+                if (!parseSpecInt(val, t.window)) {
                     return fail("tenant key window: expected an integer, "
                                 "got '" + val + "'");
                 }
                 windowSeen = true;
             } else if (key == "think_us") {
-                if (!parseMicros(val, t.think)) {
+                if (!parseSpecMicros(val, t.think)) {
                     return fail("tenant key think_us: expected a "
                                 "non-negative number, got '" + val + "'");
                 }
                 thinkSeen = true;
             } else if (key == "clients") {
-                if (!parseDagInt(val, t.clients)) {
+                if (!parseSpecInt(val, t.clients)) {
                     return fail("tenant key clients: expected an integer, "
                                 "got '" + val + "'");
                 }
@@ -316,11 +289,11 @@ bool parseReplicasSpec(const std::string& body,
     };
     if (body.empty()) return fail("empty replica spec");
     std::vector<ReplicaGroupConfig> groups;
-    for (const std::string& seg : splitOn(body, ';')) {
+    for (const std::string& seg : splitSpec(body, ';')) {
         if (seg.empty()) return fail("empty replica group entry (stray ';')");
         ReplicaGroupConfig g;
         g.name.clear();  // must be named explicitly
-        for (const std::string& pair : splitOn(seg, ',')) {
+        for (const std::string& pair : splitSpec(seg, ',')) {
             std::string key, val;
             if (!splitKeyValue(pair, key, val)) {
                 return fail("replica group entry '" + seg + "': expected "
@@ -329,7 +302,7 @@ bool parseReplicasSpec(const std::string& body,
             if (key == "name") {
                 g.name = val;
             } else if (key == "n") {
-                if (!parseDagInt(val, g.replicas)) {
+                if (!parseSpecInt(val, g.replicas)) {
                     return fail("replica key n: expected an integer, got '" +
                                 val + "'");
                 }
@@ -343,7 +316,7 @@ bool parseReplicasSpec(const std::string& body,
                     g.hedgePercentile = 0;
                 } else if (val.size() >= 2 && val[0] == 'p') {
                     int pct = 0;
-                    if (!parseDagInt(val.substr(1), pct) || pct < 1 ||
+                    if (!parseSpecInt(val.substr(1), pct) || pct < 1 ||
                         pct > 99) {
                         return fail("replica key hedge: expected off or "
                                     "p1..p99, got '" + val + "'");
@@ -354,12 +327,12 @@ bool parseReplicasSpec(const std::string& body,
                                 "(e.g. p95), got '" + val + "'");
                 }
             } else if (key == "hedge_floor_us") {
-                if (!parseMicros(val, g.hedgeFloor)) {
+                if (!parseSpecMicros(val, g.hedgeFloor)) {
                     return fail("replica key hedge_floor_us: expected a "
                                 "non-negative number, got '" + val + "'");
                 }
             } else if (key == "hedge_min") {
-                if (!parseDagInt(val, g.hedgeMinSamples)) {
+                if (!parseSpecInt(val, g.hedgeMinSamples)) {
                     return fail("replica key hedge_min: expected an "
                                 "integer, got '" + val + "'");
                 }
@@ -386,11 +359,11 @@ std::string tenantsSpecToString(const std::vector<TenantConfig>& tenants) {
         s += ",wl=" + std::string(workloadName(t.workload));
         s += ",mode=" + std::string(arrivalModeName(t.mode));
         if (t.mode == ArrivalMode::Open) {
-            s += ",load=" + fmtDouble(t.load);
+            s += ",load=" + formatSpecNumber(t.load);
         } else {
             s += ",window=" + std::to_string(t.window);
             if (t.think > 0) {
-                s += ",think_us=" + fmtDouble(toMicros(t.think));
+                s += ",think_us=" + formatSpecNumber(toMicros(t.think));
             }
         }
         s += ",clients=" + std::to_string(t.clients);
@@ -411,7 +384,7 @@ std::string replicasSpecToString(
         if (g.hedging()) {
             s += ",hedge=p" + std::to_string(static_cast<int>(
                                   g.hedgePercentile * 100 + 0.5));
-            s += ",hedge_floor_us=" + fmtDouble(toMicros(g.hedgeFloor));
+            s += ",hedge_floor_us=" + formatSpecNumber(toMicros(g.hedgeFloor));
             s += ",hedge_min=" + std::to_string(g.hedgeMinSamples);
         }
     }

@@ -62,7 +62,7 @@ TEST(DagSpec, RejectsMalformedSpecs) {
           "dag:fanout=abc", "dag:fanout=0", "dag:depth=0", "dag:window=0",
           "dag:resp=", "dag:resp=100/", "dag:straggler=1.5",
           "dag:factor=0.5", "dag:fanout=100,depth=3",
-          "uniform:fanout=2", "incast:hotspots=2", "dag+onoff"}) {
+          "uniform:fanout=2", "incast:fanout=2", "dag+onoff"}) {
         EXPECT_FALSE(scenarioFromSpec(spec, untouched)) << spec;
     }
     EXPECT_EQ(untouched.kind, TrafficPatternKind::RackSkew);
@@ -680,6 +680,14 @@ TEST(RunExperimentCli, RejectsContradictoryFlagCombinations) {
     EXPECT_EQ(runCli("--pattern dag --dag-join abc"), 2);
     EXPECT_EQ(runCli("--window 3"), 2);                   // pre-existing rule
     EXPECT_EQ(runCli("--on-us 5"), 2);
+    // Numeric flags parse strictly, and a pattern knob never applies to
+    // another pattern.
+    EXPECT_EQ(runCli("--load abc"), 2);
+    EXPECT_EQ(runCli("--hotspots x"), 2);
+    EXPECT_EQ(runCli("--seed -1x"), 2);
+    EXPECT_EQ(runCli("--workload W9"), 2);
+    EXPECT_EQ(runCli("--pattern uniform --hotspots 3"), 2);
+    EXPECT_EQ(runCli("--on-off --trace /dev/null"), 2);
 }
 
 TEST(RunExperimentCli, RunsAValidDagPoint) {

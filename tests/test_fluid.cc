@@ -21,7 +21,7 @@ ExperimentConfig fluidConfig(WorkloadId wl, double load, int64_t threshold) {
     cfg.traffic.load = load;
     cfg.traffic.stop = milliseconds(2);
     cfg.drainGrace = milliseconds(50);
-    cfg.fluidThresholdBytes = threshold;
+    cfg.traffic.scenario.fluidThresholdBytes = threshold;
     return cfg;
 }
 
@@ -219,7 +219,7 @@ void expectHybridWithinTolerance(TrafficPatternKind kind, int hotspots = 0) {
         packet.traffic.scenario.hotspotDegree = 16;
     }
     ExperimentConfig hybrid = packet;
-    hybrid.fluidThresholdBytes = 100000;
+    hybrid.traffic.scenario.fluidThresholdBytes = 100000;
     const ExperimentResult p = runExperiment(packet);
     const ExperimentResult h = runExperiment(hybrid);
     ASSERT_TRUE(h.fluid != nullptr);
@@ -315,14 +315,14 @@ TEST(FluidDeterminism, ThresholdChangesFingerprint) {
 }
 
 TEST(FluidDeterminism, SpecDrivenRunMatchesConfigDriven) {
-    // "+fluid:" in the scenario spec and ExperimentConfig's knob must be
-    // the same experiment (the spec wins when both are set).
-    ExperimentConfig viaConfig = fluidConfig(WorkloadId::W4, 0.5, 25000);
+    // "+fluid:" in a scenario spec sets exactly the field a programmatic
+    // config sets, so the parsed run and the direct one are one experiment.
+    ExperimentConfig viaField = fluidConfig(WorkloadId::W4, 0.5, 25000);
     ExperimentConfig viaSpec = fluidConfig(WorkloadId::W4, 0.5, -1);
-    ScenarioConfig parsed;
-    ASSERT_TRUE(scenarioFromSpec("uniform+fluid:25000", parsed));
-    viaSpec.traffic.scenario = parsed;
-    EXPECT_EQ(resultFingerprint(runExperiment(viaConfig)),
+    ASSERT_TRUE(
+        scenarioFromSpec("uniform+fluid:25000", viaSpec.traffic.scenario));
+    EXPECT_EQ(viaSpec.traffic.scenario.fluidThresholdBytes, 25000);
+    EXPECT_EQ(resultFingerprint(runExperiment(viaField)),
               resultFingerprint(runExperiment(viaSpec)));
 }
 

@@ -635,23 +635,29 @@ TEST(ServingCli, RejectsContradictoryFlagsWithTargetedErrors) {
         {"--replicas name=pool",
          "replica groups without tenants serve nobody"},
         {std::string(kTenants) + " --trace /dev/null",
-         "--tenants contradicts --trace"},
+         "tenants do not compose with pattern 'trace'"},
         {std::string(kTenants) + " --dag-depth 3",
          "serving mode and dag mode are separate"},
         {std::string(kTenants) + " --pattern incast",
-         "--tenants contradicts --pattern incast"},
+         "tenants do not compose with pattern 'incast'"},
         {std::string(kTenants) + " --window 4",
-         "--window/--think-us do not apply to --tenants"},
+         "tenants do not compose with closed-loop key 'window=4'"},
         {std::string(kTenants) + " --on-off",
-         "--on-off does not compose with --tenants"},
+         "tenants do not compose with on-off"},
         {std::string(kTenants) + " --fault flap=tor0,at=1ms,for=1ms",
-         "--tenants does not compose with --fault"},
+         "tenants do not compose with fault injection"},
         {std::string(kTenants) + " --fluid 0",
-         "--tenants does not compose with --fluid"},
+         "tenants do not compose with fluid"},
         {std::string(kTenants) + " --ecmp",
-         "--ecmp does not apply to --tenants"},
+         "tenants do not compose with ecmp"},
         {std::string(kTenants) + " --wasted-bw",
          "--wasted-bw does not apply to --tenants"},
+        {std::string(kTenants) + " --load 0.5",
+         "--load does not apply to --tenants"},
+        {std::string(kTenants) + " --workload W2",
+         "--workload does not apply to --tenants"},
+        {std::string(kTenants) + " --sim-threads 2",
+         "--sim-threads does not apply to --tenants"},
     };
     for (const Case& c : cases) {
         EXPECT_EQ(runCli(c.args), 2) << c.args;

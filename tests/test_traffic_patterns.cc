@@ -320,6 +320,12 @@ TEST(OnOffArrivals, SpecParsing) {
     EXPECT_FALSE(scenarioFromSpec("", untouched));
     EXPECT_FALSE(scenarioFromSpec("dag:fanout=0", untouched));
     EXPECT_FALSE(scenarioFromSpec("uniform:fanout=2", untouched));
+    // Trace replay carries its own timing.
+    std::string err;
+    EXPECT_FALSE(
+        scenarioFromSpec("trace:path=/dev/null+on-off", untouched, &err));
+    EXPECT_NE(err.find("trace does not compose with on-off"),
+              std::string::npos) << err;
     EXPECT_EQ(untouched.kind, TrafficPatternKind::RackSkew);
 }
 
@@ -382,6 +388,8 @@ TEST(ServingSpecSegments, RejectionsNameTheConflict) {
          "do not compose with fluid"},
         {"uniform+tenants:name=a,clients=4,group=nowhere",
          "references unknown replica group"},
+        {"uniform+tenants:name=a,clients=4+ecmp",
+         "do not compose with ecmp"},
     };
     for (const Case& c : cases) {
         ScenarioConfig untouched;

@@ -361,7 +361,8 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
 
     gen.start();
     // Run generation plus drain (windowed lock-step when sharded).
-    runNetworkUntil(net, genStop + cfg.drainGrace);
+    result.windows = runNetworkUntil(net, genStop + cfg.drainGrace);
+    result.shards = net.shardCount();
 
     uint64_t generatedSum = 0, deliveredSum = 0;
     int64_t backlogStart = 0, backlogEnd = 0;

@@ -129,6 +129,13 @@ struct ExperimentResult {
     /// True when the protocol kept up with the offered load: the backlog
     /// of undelivered messages at the end of generation is bounded.
     bool keptUp = false;
+
+    /// How the run executed, not what it simulated (both excluded from
+    /// resultFingerprint): the effective event-loop shard count after
+    /// clamping (1 = serial engine) and the lookahead windows the parallel
+    /// engine ran (0 when serial).
+    int shards = 1;
+    uint64_t windows = 0;
 };
 
 ExperimentResult runExperiment(const ExperimentConfig& cfg);

@@ -13,9 +13,11 @@ std::unique_ptr<Qdisc> Network::makeQdisc() const {
 void Network::wireCrossShard(EgressPort& out, int srcShard, Switch* peer,
                              int dstShard) {
     if (srcShard == dstShard) return;
-    auto* box = &xshard_[srcShard][dstShard];
-    out.setRemoteDeliver([box, peer](Time at, Packet&& p) {
-        box->push_back(RemoteEvent{at, peer, std::move(p)});
+    Shard* src = shards_[srcShard].get();
+    out.setRemoteDeliver([src, peer, dstShard](Time at, Packet&& p) {
+        src->out[src->fill][dstShard].events.push_back(
+            RemoteEvent{at, peer, std::move(p)});
+        src->minPosted = std::min(src->minPosted, at);
     });
 }
 
@@ -40,9 +42,9 @@ Network::Network(NetworkConfig cfg, const TransportFactory& makeTransport,
     const int nShards = (!multiRack || cfg_.switchDelay <= 0)
                             ? 1
                             : std::clamp(shards, 1, cfg_.racks);
-    loops_.reserve(nShards);
+    shards_.reserve(nShards);
     for (int s = 0; s < nShards; s++) {
-        loops_.push_back(std::make_unique<EventLoop>());
+        shards_.push_back(std::make_unique<Shard>());
     }
     perHostMsg_.assign(nHosts, 0);
 
@@ -53,7 +55,7 @@ Network::Network(NetworkConfig cfg, const TransportFactory& makeTransport,
     // byte-identical to the pre-core-layer wiring.
     hosts_.reserve(nHosts);
     for (HostId h = 0; h < nHosts; h++) {
-        hosts_.push_back(std::make_unique<Host>(*loops_[shardOfHost(h)], h,
+        hosts_.push_back(std::make_unique<Host>(shards_[shardOfHost(h)]->loop, h,
                                                 cfg_.hostLink,
                                                 cfg_.softwareDelay, rng_.fork()));
     }
@@ -62,7 +64,7 @@ Network::Network(NetworkConfig cfg, const TransportFactory& makeTransport,
     // g covers pod g / aggrPerPod.
     for (int a = 0; a < nAggr; a++) {
         aggrs_.push_back(std::make_unique<Switch>(
-            *loops_[a % nShards], "aggr" + std::to_string(a), cfg_.switchDelay,
+            shards_[a % nShards]->loop, "aggr" + std::to_string(a), cfg_.switchDelay,
             rng_.fork()));
     }
 
@@ -70,7 +72,7 @@ Network::Network(NetworkConfig cfg, const TransportFactory& makeTransport,
     // perRack+aggrPerPod) are uplinks to the rack's pod aggrs. A TOR lives
     // on its rack's shard.
     for (int r = 0; r < cfg_.racks; r++) {
-        auto tor = std::make_unique<Switch>(*loops_[shardOfRack(r)],
+        auto tor = std::make_unique<Switch>(shards_[shardOfRack(r)]->loop,
                                             "tor" + std::to_string(r),
                                             cfg_.switchDelay, rng_.fork());
         const int podBase = cfg_.podOfRack(r) * aggrPerPod;
@@ -130,7 +132,7 @@ Network::Network(NetworkConfig cfg, const TransportFactory& makeTransport,
     // the aggrs. Forked last so two-tier RNG streams are untouched.
     for (int c = 0; c < nCore; c++) {
         cores_.push_back(std::make_unique<Switch>(
-            *loops_[c % nShards], "core" + std::to_string(c), cfg_.switchDelay,
+            shards_[c % nShards]->loop, "core" + std::to_string(c), cfg_.switchDelay,
             rng_.fork()));
     }
 
@@ -267,10 +269,11 @@ Network::Network(NetworkConfig cfg, const TransportFactory& makeTransport,
 
     // Cross-shard links (TOR<->aggr and aggr<->core: host<->TOR is
     // intra-shard by the rack partition) park completed packets in
-    // per-(src,dst) outboxes.
+    // per-(src, parity, dst) outboxes.
     if (nShards > 1) {
-        xshard_.assign(nShards,
-                       std::vector<std::vector<RemoteEvent>>(nShards));
+        for (auto& sh : shards_) {
+            for (auto& boxes : sh->out) boxes.resize(nShards);
+        }
         for (int r = 0; r < cfg_.racks; r++) {
             const int rs = shardOfRack(r);
             const int podBase = cfg_.podOfRack(r) * aggrPerPod;
@@ -314,19 +317,35 @@ void Network::setDeliveryCallback(Transport::DeliveryCallback cb) {
 }
 
 void Network::drainInboxes(int shard) {
-    for (int s = 0; s < shardCount(); s++) {
-        auto& box = xshard_[s][shard];
+    // Every shard flips after the same barrier, so this shard's parity is
+    // the one its peers filled in the window just ended.
+    int& parity = shards_[shard]->fill;
+    for (auto& src : shards_) {
+        auto& box = src->out[parity][shard].events;
+        if (box.empty()) continue;  // leave the producer's line unwritten
         for (RemoteEvent& ev : box) {
             ev.dst->injectArrival(ev.arrival, std::move(ev.pkt));
         }
         box.clear();
     }
+    parity ^= 1;
+}
+
+Time Network::takeWindowBound(int shard) {
+    Shard& sh = *shards_[shard];
+    const Time posted = sh.minPosted == EventLoop::kNoEvent
+                            ? EventLoop::kNoEvent
+                            : sh.minPosted + cfg_.switchDelay;
+    sh.minPosted = EventLoop::kNoEvent;
+    return std::min(sh.loop.nextEventTime(), posted);
 }
 
 size_t Network::pendingRemotePackets() const {
     size_t n = 0;
-    for (const auto& row : xshard_) {
-        for (const auto& box : row) n += box.size();
+    for (const auto& sh : shards_) {
+        for (const auto& boxes : sh->out) {
+            for (const Outbox& box : boxes) n += box.events.size();
+        }
     }
     return n;
 }

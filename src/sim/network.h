@@ -17,13 +17,15 @@
 // that many EventLoops, and the aggregation and core switches likewise.
 // Every host↔TOR link is intra-shard by construction; TOR↔aggr and
 // aggr↔core links can cross shards. A cross-shard link's egress port
-// deposits completed packets into a per-(source shard, destination shard)
-// outbox instead of delivering them; the engine drains outboxes into the
-// peer switches at lookahead window barriers (see sim/parallel.h). With
-// shards == 1 (the default) the wiring, event order, and results are the
-// classic serial ones.
+// deposits completed packets into a per-(source shard, window parity,
+// destination shard) outbox instead of delivering them; the engine drains
+// outboxes into the peer switches after each lookahead window's barrier
+// (see sim/parallel.h). With shards == 1 (the default) the wiring, event
+// order, and results are the classic serial ones.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -35,8 +37,42 @@
 
 namespace homa {
 
+/// Line size the parallel engine pads per-shard state to, so that two
+/// shards' threads never write the same cache line (x86-64 and most
+/// AArch64 parts use 64-byte lines).
+inline constexpr size_t kCacheLine = 64;
+
 class Network {
 public:
+    /// A cross-shard packet parked until the end of its window.
+    struct RemoteEvent {
+        Time arrival;  // serialization end on the cross-shard link
+        Switch* dst;
+        Packet pkt;
+    };
+
+    /// The packets one shard emitted for one peer in one window parity.
+    /// On its own line: the peer empties it while the producer fills the
+    /// box of the other parity.
+    struct alignas(kCacheLine) Outbox {
+        std::vector<RemoteEvent> events;
+    };
+
+    /// Everything one shard's thread writes as it runs events, in one
+    /// cache-line-aligned block, so no other shard's writes share a line
+    /// with it. Outboxes are written by this shard (the filling parity)
+    /// and emptied by their destination shard (the other parity).
+    struct alignas(kCacheLine) Shard {
+        EventLoop loop;
+        /// Earliest arrival posted to any outbox since the last
+        /// takeWindowBound(), or kNoEvent.
+        Time minPosted = EventLoop::kNoEvent;
+        /// Parity this shard's posts go to; flipped after each drain.
+        int fill = 0;
+        /// out[parity][destination shard]; empty in serial runs.
+        std::array<std::vector<Outbox>, 2> out;
+    };
+
     /// `shards` is clamped to [1, racks]; single-rack topologies and
     /// zero switch delay (no lookahead) always build one shard.
     Network(NetworkConfig cfg, const TransportFactory& makeTransport,
@@ -45,11 +81,12 @@ public:
     /// Shard 0's loop — the only loop when shardCount() == 1, and the one
     /// whose clock callers may treat as "the" simulation clock (all shards
     /// agree at barriers and at the end of a run).
-    EventLoop& loop() { return *loops_[0]; }
+    EventLoop& loop() { return shards_[0]->loop; }
 
-    int shardCount() const { return static_cast<int>(loops_.size()); }
-    EventLoop& shardLoop(int s) { return *loops_[s]; }
-    EventLoop& loopFor(HostId h) { return *loops_[shardOfHost(h)]; }
+    int shardCount() const { return static_cast<int>(shards_.size()); }
+    EventLoop& shardLoop(int s) { return shards_[s]->loop; }
+    const Shard& shard(int s) const { return *shards_[s]; }
+    EventLoop& loopFor(HostId h) { return shards_[shardOfHost(h)]->loop; }
     int shardOfRack(int rack) const { return rack % shardCount(); }
     int shardOfHost(HostId h) const { return shardOfRack(rackOf(h)); }
 
@@ -85,10 +122,17 @@ public:
     /// Install a delivery callback on every host's transport.
     void setDeliveryCallback(Transport::DeliveryCallback cb);
 
-    /// Inject every parked cross-shard packet destined for `shard` into its
-    /// target switch (canonical transit order makes the drain order across
-    /// source shards irrelevant). Parallel engine only, at window barriers.
+    /// Inject every packet the peers parked for `shard` in the parity it
+    /// was filling into its target switch, then flip `shard` to the other
+    /// parity (canonical transit order makes the drain order across source
+    /// shards irrelevant). Parallel engine only, after a window's barrier.
     void drainInboxes(int shard);
+
+    /// Earliest event `shard`'s last window left pending anywhere: its own
+    /// next event, or the routing kick (arrival + switch delay, see
+    /// Switch::injectArrival) of the earliest packet it posted to a peer.
+    /// Resets the posted minimum. Parallel engine only, before a barrier.
+    Time takeWindowBound(int shard);
 
     /// The TOR egress port that feeds host h (its downlink). Queue stats
     /// here drive Table 1, Figure 16, and Figure 21.
@@ -113,17 +157,12 @@ public:
     int rackOf(HostId h) const { return h / cfg_.hostsPerRack; }
     int podOf(HostId h) const { return cfg_.podOfRack(rackOf(h)); }
 
-    /// Cross-shard packets parked in outboxes but not yet injected (0 in
-    /// serial runs; used by the conservation accounting in test_fault).
+    /// Cross-shard packets parked in outboxes of either parity but not yet
+    /// injected (0 in serial runs; used by the conservation accounting in
+    /// test_fault).
     size_t pendingRemotePackets() const;
 
 private:
-    struct RemoteEvent {
-        Time arrival;  // serialization end on the cross-shard link
-        Switch* dst;
-        Packet pkt;
-    };
-
     std::unique_ptr<Qdisc> makeQdisc() const;
     /// Register the remote-deliver outbox seam on a cross-shard port pair.
     void wireCrossShard(EgressPort& out, int srcShard, Switch* peer,
@@ -131,16 +170,12 @@ private:
 
     NetworkConfig cfg_;
     NetworkTimings timings_;
-    std::vector<std::unique_ptr<EventLoop>> loops_;
+    std::vector<std::unique_ptr<Shard>> shards_;
     Rng rng_;
     std::vector<std::unique_ptr<Host>> hosts_;
     std::vector<std::unique_ptr<Switch>> tors_;
     std::vector<std::unique_ptr<Switch>> aggrs_;
     std::vector<std::unique_ptr<Switch>> cores_;
-    // xshard_[s][d]: packets emitted by shard s for shard d in the current
-    // window. Written only by shard s's thread, drained only by shard d's —
-    // the window barriers on either side order the accesses.
-    std::vector<std::vector<std::vector<RemoteEvent>>> xshard_;
     MsgId nextMsg_ = 1;
     std::vector<uint64_t> perHostMsg_;
     std::function<bool(const Message&)> intercept_;

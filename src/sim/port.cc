@@ -153,7 +153,7 @@ void EgressPort::startTransmission(Packet p) {
             stats_.faultProbDrops++;
         } else if (remote_) {
             // Cross-shard link: park the packet in the engine's outbox; it
-            // reaches the peer switch at the next window barrier.
+            // reaches the peer switch after the window's barrier.
             done.hops++;
             remote_(loop_.now(), std::move(done));
         } else if (peer_ != nullptr) {

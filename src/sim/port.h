@@ -100,9 +100,9 @@ public:
 
     /// Cross-shard seam: when set, a completed packet is handed to `fn`
     /// with its arrival (serialization-end) time instead of being delivered
-    /// to peer_. The parallel engine points this at a per-(src,dst)-shard
-    /// outbox; the packet is re-injected into the peer switch at a window
-    /// barrier via Switch::injectArrival().
+    /// to peer_. The parallel engine points this at a per-(src shard,
+    /// window parity, dst shard) outbox; the packet is re-injected into the
+    /// peer switch after the window's barrier via Switch::injectArrival().
     using RemoteDeliverFn = std::function<void(Time, Packet&&)>;
     void setRemoteDeliver(RemoteDeliverFn fn) { remote_ = std::move(fn); }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace homa {
@@ -52,7 +54,14 @@ void Switch::injectArrival(Time arrival, Packet p) {
         }
         return;
     }
-    assert(arrival + delay_ >= loop_.now());
+    // The parallel engine's lookahead rests on this: a parked packet's
+    // routing is never due before the window its drain follows.
+    if (arrival + delay_ < loop_.now()) {
+        throw std::logic_error("Switch::injectArrival: " + name_ +
+                               " routing at " + std::to_string(arrival + delay_) +
+                               " ps is before now " +
+                               std::to_string(loop_.now()) + " ps");
+    }
     insertTransit(arrival, std::move(p));
     loop_.at(arrival + delay_, [this] { routeDue(); });
 }

@@ -50,7 +50,8 @@ public:
 
     /// Cross-shard ingress: the packet finished arriving at `arrival`
     /// (in the just-completed lookahead window, so arrival + delay is
-    /// still in this shard's future). Called at window barriers only.
+    /// still in this shard's future). Called after window barriers only;
+    /// throws std::logic_error if arrival + delay is already past.
     void injectArrival(Time arrival, Packet p);
 
     /// Route every transit packet whose internal delay has expired, in

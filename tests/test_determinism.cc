@@ -171,9 +171,12 @@ TEST(ParallelDeterminism, MatchesSerialAcrossAllProtocols) {
         ExperimentConfig cfg = smallConfig(WorkloadId::W2, 0.6, kind);
         const ExperimentResult serial = runExperiment(cfg);
         EXPECT_GT(serial.delivered, 0u) << protocolName(kind);
+        EXPECT_EQ(serial.shards, 1) << protocolName(kind);
         cfg.parallel.threads = 4;
-        EXPECT_EQ(resultFingerprint(serial),
-                  resultFingerprint(runExperiment(cfg)))
+        const ExperimentResult par = runExperiment(cfg);
+        EXPECT_EQ(par.shards, 4) << protocolName(kind);
+        EXPECT_GT(par.windows, 0u) << protocolName(kind);
+        EXPECT_EQ(resultFingerprint(serial), resultFingerprint(par))
             << protocolName(kind);
     }
 }
@@ -185,10 +188,17 @@ TEST(ParallelDeterminism, FingerprintInvariantAcrossThreadCounts) {
     ExperimentConfig cfg = smallConfig(WorkloadId::W3, 0.7);
     cfg.parallel.threads = 1;
     const std::string golden = resultFingerprint(runExperiment(cfg));
+    // Window boundaries are global, so every shard count runs the same
+    // number of windows.
+    uint64_t windows = 0;
     for (int threads : {2, 3, 4}) {
         cfg.parallel.threads = threads;
-        EXPECT_EQ(golden, resultFingerprint(runExperiment(cfg)))
-            << threads << " threads";
+        const ExperimentResult par = runExperiment(cfg);
+        EXPECT_EQ(par.shards, threads);
+        EXPECT_GT(par.windows, 0u) << threads << " threads";
+        if (windows == 0) windows = par.windows;
+        EXPECT_EQ(par.windows, windows) << threads << " threads";
+        EXPECT_EQ(golden, resultFingerprint(par)) << threads << " threads";
     }
 }
 
@@ -222,7 +232,9 @@ TEST(ParallelDeterminism, MatchesSerialAcrossScenarios) {
         par.parallel.threads = 4;
         const ExperimentResult a = runExperiment(point);
         EXPECT_GT(a.deliveredTotal, 0u) << patternName(point.traffic.scenario.kind);
-        EXPECT_EQ(resultFingerprint(a), resultFingerprint(runExperiment(par)))
+        const ExperimentResult b = runExperiment(par);
+        EXPECT_EQ(b.shards, 4) << patternName(point.traffic.scenario.kind);
+        EXPECT_EQ(resultFingerprint(a), resultFingerprint(b))
             << patternName(point.traffic.scenario.kind);
     }
 }
@@ -245,8 +257,10 @@ TEST(ParallelDeterminism, ZeroLookaheadScenariosFallBackToSerial) {
     for (const ExperimentConfig& point : {closed, dag}) {
         ExperimentConfig par = point;
         par.parallel.threads = 4;
-        EXPECT_EQ(resultFingerprint(runExperiment(point)),
-                  resultFingerprint(runExperiment(par)));
+        const ExperimentResult b = runExperiment(par);
+        EXPECT_EQ(b.shards, 1);
+        EXPECT_EQ(b.windows, 0u);
+        EXPECT_EQ(resultFingerprint(runExperiment(point)), resultFingerprint(b));
     }
 }
 
@@ -257,7 +271,10 @@ TEST(ParallelDeterminism, SingleRackClampsToOneShard) {
     cfg.net = NetworkConfig::singleRack16();
     const std::string golden = resultFingerprint(runExperiment(cfg));
     cfg.parallel.threads = 8;
-    EXPECT_EQ(golden, resultFingerprint(runExperiment(cfg)));
+    const ExperimentResult par = runExperiment(cfg);
+    EXPECT_EQ(par.shards, 1);
+    EXPECT_EQ(par.windows, 0u);
+    EXPECT_EQ(golden, resultFingerprint(par));
 }
 
 TEST(ParallelDeterminism, SweepSimThreadsComposesByteIdentically) {
@@ -279,6 +296,7 @@ TEST(ParallelDeterminism, SweepSimThreadsComposesByteIdentically) {
     SweepOutcome many = SweepRunner(stacked).run(points);
     ASSERT_EQ(one.results.size(), many.results.size());
     for (size_t i = 0; i < one.results.size(); i++) {
+        EXPECT_EQ(many.results[i].shards, 3) << "point " << i;
         EXPECT_EQ(resultFingerprint(one.results[i]),
                   resultFingerprint(many.results[i]))
             << "point " << i;
@@ -348,8 +366,9 @@ TEST(FaultDeterminism, SerialEqualsParallelUnderFaults) {
                   0u)
             << c.body;
         cfg.parallel.threads = 4;
-        EXPECT_EQ(resultFingerprint(serial),
-                  resultFingerprint(runExperiment(cfg)))
+        const ExperimentResult par = runExperiment(cfg);
+        EXPECT_EQ(par.shards, 4) << c.body;
+        EXPECT_EQ(resultFingerprint(serial), resultFingerprint(par))
             << protocolName(c.kind) << " " << c.body;
     }
 }

@@ -9,6 +9,7 @@
 
 #include "driver/rpc_experiment.h"
 #include "driver/sweep.h"
+#include "fingerprint_hash.h"
 
 namespace homa {
 namespace {
@@ -537,6 +538,84 @@ TEST(ServingDeterminism, NoTenantsFingerprintHasNoServingBlock) {
     EXPECT_EQ(fp.find("tn"), std::string::npos) << fp;
     EXPECT_EQ(fp.find("sv"), std::string::npos) << fp;
     EXPECT_EQ(resultFingerprint(r), resultFingerprint(runRpcExperiment(cfg)));
+}
+
+// ----------------------------------------------- RPC harness goldens
+//
+// FNV-1a plus length of resultFingerprint for every RPC issue mode: echo
+// open and closed loop, each with and without ON-OFF, DAG trees over
+// RPCs (pure and with joins under ON-OFF), and the serving mix. Captured
+// before the three RPC harnesses shared one arrival driver; any change
+// to a mode's draw order or event order shows up here.
+
+struct RpcGolden {
+    const char* name;
+    RpcExperimentConfig cfg;
+    uint64_t hash;
+    size_t length;
+};
+
+std::vector<RpcGolden> rpcHarnessGoldens() {
+    RpcExperimentConfig open;
+    open.workload = WorkloadId::W3;
+    open.load = 0.8;
+    open.stop = milliseconds(3);
+
+    RpcExperimentConfig closed;
+    closed.workload = WorkloadId::W1;
+    closed.stop = milliseconds(3);
+    closed.closedLoopWindow = 2;
+    closed.thinkTime = microseconds(5);
+
+    RpcExperimentConfig openOnOff = open;
+    openOnOff.workload = WorkloadId::W1;
+    openOnOff.load = 0.5;
+    openOnOff.stop = milliseconds(4);
+    openOnOff.onOff.enabled = true;
+    openOnOff.onOff.onMean = microseconds(50);
+    openOnOff.onOff.offMean = microseconds(150);
+
+    RpcExperimentConfig closedOnOff = closed;
+    closedOnOff.onOff.enabled = true;
+
+    RpcExperimentConfig dag;
+    dag.workload = WorkloadId::W1;
+    dag.stop = milliseconds(3);
+    dag.dagMode = true;
+    dag.dag.fanout = 3;
+    dag.dag.depth = 2;
+    dag.dag.stageResponseBytes = {4000, 1000};
+
+    RpcExperimentConfig dagJoins;
+    dagJoins.workload = WorkloadId::W1;
+    dagJoins.stop = milliseconds(3);
+    dagJoins.dagMode = true;
+    dagJoins.dag.fanout = 3;
+    dagJoins.dag.depth = 2;
+    dagJoins.dag.window = 2;
+    dagJoins.dag.joinFraction = 0.5;
+    dagJoins.onOff.enabled = true;
+
+    return {
+        {"echo-open", open, 0x87a50b2d305fcfb8ull, 1418},
+        {"echo-closed", closed, 0xb8fe1f4bd2a461fcull, 1257},
+        {"echo-open-onoff", openOnOff, 0xc735b980c2190ac6ull, 1413},
+        {"echo-closed-onoff", closedOnOff, 0x5e4cf58bf98ce095ull, 1255},
+        {"dag", dag, 0xa914e1125ca8fdf7ull, 464},
+        {"dag-joins-onoff", dagJoins, 0x0f3e9710c8a7894dull, 465},
+        {"serving", servingConfig(), 0xbb8b77e24aba18cfull, 1112},
+    };
+}
+
+TEST(RpcHarnessGoldens, EveryModeReproducesItsFingerprint) {
+    for (const RpcGolden& g : rpcHarnessGoldens()) {
+        const RpcExperimentResult r = runRpcExperiment(g.cfg);
+        EXPECT_GT(r.completed, 0u) << g.name;
+        const std::string fp = resultFingerprint(r);
+        EXPECT_EQ(fnv1a(fp), g.hash)
+            << g.name << " live fingerprint:\n" << fp;
+        EXPECT_EQ(fp.size(), g.length) << g.name;
+    }
 }
 
 TEST(SweepRunner, SeedDerivationIsAPureSpreadFunction) {

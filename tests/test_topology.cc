@@ -19,6 +19,7 @@
 #include "core/homa_transport.h"
 #include "driver/oracle.h"
 #include "driver/sweep.h"
+#include "fingerprint_hash.h"
 #include "sim/network.h"
 #include "topology_shapes.h"
 #include "workload/workloads.h"
@@ -380,15 +381,6 @@ TEST(TopologyClamp, TopoSpecRejectsInvalidShapes) {
 // tree: the refactor (and any future change) must reproduce these runs
 // byte-for-byte. On mismatch the test streams the live fingerprint so
 // the diff against the goldens is inspectable.
-uint64_t fnv1a(const std::string& s) {
-    uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 TEST(TopologyDeterminism, TwoTierGoldenFingerprintsUnchanged) {
     struct Golden {
         Protocol proto;

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -12,32 +13,270 @@ namespace homa {
 
 namespace {
 
-// Multi-tenant serving: tenants issue logical RPCs against replica groups
-// through a ReplicaSelector; groups may hedge (re-issue to a second
-// replica once an RPC outlives the tenant's observed latency percentile,
-// first response wins, loser cancelled). The harness tracks every call's
-// lifecycle in the ServingStats ledgers so the invariant tests can prove
-// conservation: exactly one response consumed per logical RPC, every
-// issued byte consumed, refunded, or declared unresolved at run end.
-RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
-    const ServingConfig& sv = cfg.serving;
-    NetworkConfig netCfg = cfg.net;
-    if (const std::string err = validateServingConfig(sv, netCfg.hostCount());
-        !err.empty()) {
-        throw std::invalid_argument("invalid serving config: " + err);
+// The harness's config checks, run in every build type (not asserts that
+// NDEBUG removes): "" when `cfg` is runnable, else the first problem.
+std::string rpcConfigError(const RpcExperimentConfig& cfg) {
+    const int hosts = cfg.net.hostCount();
+    if (cfg.serving.enabled()) {
+        if (cfg.dagMode) return "dagMode does not combine with serving tenants";
+        const std::string err = validateServingConfig(cfg.serving, hosts);
+        return err.empty() ? err : "invalid serving config: " + err;
     }
-    if (!netCfg.switchQdisc) netCfg.switchQdisc = switchQdiscFor(cfg.proto);
-    // Transport factories key unscheduled-priority cutoffs off one size
-    // distribution; use the first tenant's (cutoff tuning, not
-    // correctness — every tenant's traffic still flows).
-    const SizeDistribution& primaryDist = workload(sv.tenants[0].workload);
-    Network net(netCfg, makeTransportFactory(cfg.proto, netCfg, &primaryDist));
-    Oracle oracle(netCfg);
-    const OracleFn echo = oracle.echoRpcFn();
+    if (cfg.clients < 1 || cfg.clients > hosts - 1) {
+        return "clients = " + std::to_string(cfg.clients) +
+               " must be in [1, " + std::to_string(hosts - 1) +
+               "]: every client needs a server among " +
+               std::to_string(hosts) + " hosts";
+    }
+    if (cfg.dagMode) {
+        if (const char* err = validateDagConfig(cfg.dag)) {
+            return std::string("invalid dag config: ") + err;
+        }
+        if (cfg.dag.depth >= 2 && hosts - cfg.clients < 2) {
+            return "dag depth >= 2 needs at least 2 servers, got " +
+                   std::to_string(hosts - cfg.clients);
+        }
+    } else if (cfg.closedLoopWindow <= 0 && !(cfg.load > 0)) {
+        return "open-loop load must be > 0";
+    }
+    return "";
+}
 
+// What echo, DAG and serving share: the network and one endpoint per
+// host, the measurement window, the per-client arrival driver and the
+// close-out. A mode builds its own trackers and state, then hands run()
+// the function that starts one of its operations on a client. The
+// operation reports its start (begin) and its completion (complete); a
+// completion frees a closed-loop slot through the driver.
+class RpcHarness {
+public:
+    explicit RpcHarness(const RpcExperimentConfig& cfg);
+    RpcHarness(const RpcHarness&) = delete;  // events capture `this`
+    RpcHarness& operator=(const RpcHarness&) = delete;
+
+    Time now() { return net.loop().now(); }
+    Rng& rng(int c) { return rngs_[c]; }
+
+    /// An operation starts now; true when it falls in the window.
+    bool begin() {
+        const bool inWindow = now() >= windowStart;
+        if (inWindow) issuedInWindow_++;
+        return inWindow;
+    }
+    /// An operation that began with `inWindow` completed on client `c`.
+    void complete(int c, bool inWindow);
+
+    /// Primes every client, runs to stop + drainGrace, then fills in the
+    /// counts every mode reports.
+    void run(std::function<void(int)> issue);
+
+    const RpcExperimentConfig& cfg;
+    const SizeDistribution& dist;  // keys the transports' priority cutoffs
+    const NetworkConfig netCfg;
+    Network net;
+    Oracle oracle;
+    std::vector<std::unique_ptr<RpcEndpoint>> endpoints;
+    const int clients;  // hosts [0, clients) issue, the rest serve
+    const Time windowStart;
+    RpcExperimentResult result;
+
+private:
+    // One client's arrival process. Open loop: Poisson at `meanGap`, on
+    // the ON-time clock when modulated. Closed loop: `window` operations
+    // in flight, a freed slot refilled after an exponential think time
+    // (1 tick when zero), gated by ON-OFF.
+    struct Arrivals {
+        ArrivalMode mode;
+        Duration meanGap;
+        int window;
+        Duration think;
+    };
+
+    Time nextArrival(int c);
+    void arrive(int c);  // open loop
+    void gated(int c);   // closed loop
+
+    std::vector<Rng> rngs_;
+    std::vector<Arrivals> arrivals_;
+    std::vector<OnOffModulator> mods_;  // empty unless ON-OFF modulated
+    std::function<void(int)> issue_;
+    uint64_t issuedInWindow_ = 0;
+    uint64_t completedInWindow_ = 0;
+};
+
+NetworkConfig withDefaultQdisc(const RpcExperimentConfig& cfg) {
+    NetworkConfig n = cfg.net;
+    if (!n.switchQdisc) n.switchQdisc = switchQdiscFor(cfg.proto);
+    return n;
+}
+
+RpcHarness::RpcHarness(const RpcExperimentConfig& c)
+    : cfg(c),
+      // Serving: the first tenant's distribution (cutoff tuning, not
+      // correctness — every tenant's traffic still flows).
+      dist(workload(c.serving.enabled() ? c.serving.tenants[0].workload
+                                        : c.workload)),
+      netCfg(withDefaultQdisc(c)),
+      net(netCfg, makeTransportFactory(c.proto, netCfg, &dist)),
+      oracle(netCfg),
+      clients(c.serving.enabled() ? c.serving.totalClients() : c.clients),
+      windowStart(static_cast<Time>(c.warmupFraction *
+                                    static_cast<double>(c.stop))) {
+    for (HostId h = 0; h < net.hostCount(); h++) {
+        endpoints.push_back(std::make_unique<RpcEndpoint>(net, h));
+    }
+    result.perClient =
+        std::make_unique<ClosedLoopTracker>(clients, windowStart, c.stop);
+
+    Rng master(c.seed);
+    for (int i = 0; i < clients; i++) rngs_.push_back(master.fork());
+    // Modulator seeds draw from the master stream after the client forks,
+    // so enabling ON-OFF never perturbs the per-client streams. Serving
+    // tenants carry no ON-OFF.
+    if (c.onOff.enabled && !c.serving.enabled()) {
+        mods_.reserve(clients);
+        for (int i = 0; i < clients; i++) {
+            mods_.emplace_back(c.onOff, /*start=*/0, master.next());
+        }
+    }
+
+    // Open loop: requests carry `load` of the client's host link
+    // (responses load its downlink symmetrically), matching §5.1.
+    auto open = [&](WorkloadId wl, double load) {
+        return Arrivals{ArrivalMode::Open,
+                        static_cast<Duration>(std::llround(
+                            workload(wl).meanWireBytes() *
+                            static_cast<double>(netCfg.hostLink.psPerByte) /
+                            load)),
+                        0, 0};
+    };
+    if (c.serving.enabled()) {
+        for (const TenantConfig& tc : c.serving.tenants) {
+            arrivals_.insert(
+                arrivals_.end(), tc.clients,
+                tc.mode == ArrivalMode::Open
+                    ? open(tc.workload, tc.load)
+                    : Arrivals{tc.mode, 0, tc.window, tc.think});
+        }
+    } else if (c.dagMode) {
+        arrivals_.assign(clients,
+                         Arrivals{ArrivalMode::Closed, 0, c.dag.window, 0});
+    } else if (c.closedLoopWindow > 0) {
+        arrivals_.assign(clients, Arrivals{ArrivalMode::Closed, 0,
+                                           c.closedLoopWindow, c.thinkTime});
+    } else {
+        arrivals_.assign(clients, open(c.workload, c.load));
+    }
+}
+
+Time RpcHarness::nextArrival(int c) {
+    const double meanGap = toSeconds(arrivals_[c].meanGap);
+    if (mods_.empty()) return now() + exponentialDuration(rngs_[c], meanGap);
+    // Poisson on the client's ON-time clock at rate base/duty, mapped to
+    // wall clock by the modulator.
+    return mods_[c].advance(
+        exponentialDuration(rngs_[c], meanGap * cfg.onOff.dutyCycle()));
+}
+
+void RpcHarness::arrive(int c) {
+    if (now() >= cfg.stop) return;
+    issue_(c);
+    net.loop().at(nextArrival(c), [this, c] { arrive(c); });
+}
+
+void RpcHarness::gated(int c) {
+    if (now() >= cfg.stop) return;
+    if (!mods_.empty()) {
+        const Time go = mods_[c].gate(now());
+        if (go > now()) {
+            net.loop().at(go, [this, c] { gated(c); });
+            return;
+        }
+    }
+    issue_(c);
+}
+
+void RpcHarness::complete(int c, bool inWindow) {
+    if (inWindow) completedInWindow_++;
+    const Arrivals& a = arrivals_[c];
+    if (a.mode != ArrivalMode::Closed) return;
+    // Refill the freed slot. (An RPC abort would leak a slot, but an abort
+    // takes ~500 ms of backed-off retries — beyond these runs.)
+    const Duration gap =
+        a.think <= 0 ? 1 : exponentialDuration(rngs_[c], toSeconds(a.think));
+    net.loop().after(gap, [this, c] { gated(c); });
+}
+
+void RpcHarness::run(std::function<void(int)> issue) {
+    issue_ = std::move(issue);
+    for (int c = 0; c < clients; c++) {
+        if (arrivals_[c].mode == ArrivalMode::Open) {
+            net.loop().at(nextArrival(c), [this, c] { arrive(c); });
+            continue;
+        }
+        // Prime the window; a small stagger keeps clients * W operations
+        // from firing in lockstep at t=0 (ON-OFF gating then pushes gated
+        // slots to each client's first burst).
+        for (int w = 0; w < arrivals_[c].window; w++) {
+            const Duration jitter = static_cast<Duration>(
+                rngs_[c].uniform() * static_cast<double>(microseconds(5)));
+            net.loop().at(jitter, [this, c] { gated(c); });
+        }
+    }
+
+    // The RPC harness draws RpcIds from one global stream and orchestrates
+    // every client from one loop, so it runs single-shard.
+    runNetworkUntil(net, cfg.stop + cfg.drainGrace);
+
+    result.issued = issuedInWindow_;
+    result.completed = completedInWindow_;
+    for (const auto& ep : endpoints) {
+        result.retries += ep->stats().retries;
+        result.reexecutions += ep->stats().reexecutions;
+    }
+    result.keptUp = issuedInWindow_ > 0 &&
+                    static_cast<double>(completedInWindow_) >=
+                        0.99 * static_cast<double>(issuedInWindow_);
+}
+
+// Echo: one call to a server drawn from the client's own stream, which
+// answers with the request's size.
+void runEcho(RpcHarness& h) {
+    h.result.slowdown =
+        std::make_unique<SlowdownTracker>(h.dist, h.oracle.echoRpcFn());
+    const int servers = h.net.hostCount() - h.clients;
+    h.run([&h, servers](int c) {
+        Rng& rng = h.rng(c);
+        const uint32_t size = h.dist.sample(rng);
+        const HostId server =
+            static_cast<HostId>(h.clients + rng.below(servers));
+        const bool inWindow = h.begin();
+        h.endpoints[c]->call(
+            server, size,
+            [&h, c, inWindow](RpcId, uint32_t reqSize, uint32_t respSize,
+                              Duration elapsed) {
+                h.result.perClient->record(c, reqSize + respSize, elapsed,
+                                           h.now());
+                if (inWindow) h.result.slowdown->record(reqSize, elapsed);
+                h.complete(c, inWindow);
+            });
+    });
+}
+
+// Multi-tenant serving: one hedged logical RPC. Tenants issue against
+// replica groups through a ReplicaSelector; a group may hedge (re-issue
+// to a second replica once an RPC outlives the tenant's observed latency
+// percentile, first response wins, loser cancelled). Every call's
+// lifecycle feeds the ServingStats ledgers, so the invariant tests can
+// prove conservation: exactly one response consumed per logical RPC,
+// every issued byte consumed, refunded, or declared unresolved at run end.
+void runServing(RpcHarness& h) {
+    const RpcExperimentConfig& cfg = h.cfg;
+    const ServingConfig& sv = cfg.serving;
+    const OracleFn echo = h.oracle.echoRpcFn();
     const int nTenants = static_cast<int>(sv.tenants.size());
-    const int nClients = sv.totalClients();
-    const int servers = net.hostCount() - nClients;
+    const int nClients = h.clients;
+    const int servers = h.net.hostCount() - nClients;
 
     const std::vector<ReplicaGroupConfig> groups = sv.effectiveGroups();
     std::vector<ResolvedGroup> resolved;
@@ -45,24 +284,14 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         throw std::invalid_argument("invalid serving config: " + err);
     }
 
-    std::vector<std::unique_ptr<RpcEndpoint>> endpoints;
-    for (HostId h = 0; h < net.hostCount(); h++) {
-        endpoints.push_back(std::make_unique<RpcEndpoint>(net, h));
-    }
-
-    RpcExperimentResult result;
-    const Time windowStart = static_cast<Time>(
-        cfg.warmupFraction * static_cast<double>(cfg.stop));
-    result.perClient = std::make_unique<ClosedLoopTracker>(
-        nClients, windowStart, cfg.stop);
-    result.tenants = std::make_unique<TenantTracker>(nTenants, windowStart,
+    RpcExperimentResult& result = h.result;
+    result.tenants = std::make_unique<TenantTracker>(nTenants, h.windowStart,
                                                      cfg.stop);
     ServingStats& led = result.serving;
 
-    // Per-tenant shape: owned client range, group, selector, arrival rate.
+    // Per-tenant state: sizes, group, selector sequence, hedge delay.
     struct TenantState {
         const SizeDistribution* dist = nullptr;
-        int firstClient = 0;
         int groupIdx = 0;
         uint64_t seq = 0;  // logical-RPC sequence; feeds the selector
         // Observed latencies arm the hedge delay (whole run, not
@@ -70,39 +299,24 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         StreamingQuantile latency;  // microseconds, at hedgePercentile
         Duration hedgeDelay = 0;
         int sinceRecalc = 0;
-        Duration meanGap = 0;  // open mode
     };
     std::vector<TenantState> ts(static_cast<size_t>(nTenants));
     std::vector<ReplicaSelector> selectors;
     selectors.reserve(static_cast<size_t>(nTenants));
-    std::vector<int> clientTenant(static_cast<size_t>(nClients));
-    const double psPerByte = static_cast<double>(netCfg.hostLink.psPerByte);
-    {
-        int nextClient = 0;
-        for (int t = 0; t < nTenants; t++) {
-            const TenantConfig& tc = sv.tenants[t];
-            ts[t].dist = &workload(tc.workload);
-            ts[t].firstClient = nextClient;
-            ts[t].groupIdx = tenantGroupIndex(sv, tc);
-            ts[t].latency =
-                StreamingQuantile(groups[ts[t].groupIdx].hedgePercentile);
-            if (tc.mode == ArrivalMode::Open) {
-                ts[t].meanGap = static_cast<Duration>(std::llround(
-                    ts[t].dist->meanWireBytes() * psPerByte / tc.load));
-            }
-            selectors.emplace_back(groups[ts[t].groupIdx].policy,
-                                   resolved[ts[t].groupIdx].count, cfg.seed, t);
-            for (int c = 0; c < tc.clients; c++) clientTenant[nextClient++] = t;
-        }
-        assert(nextClient == nClients);
+    std::vector<int> clientTenant;
+    for (int t = 0; t < nTenants; t++) {
+        const TenantConfig& tc = sv.tenants[t];
+        ts[t].dist = &workload(tc.workload);
+        ts[t].groupIdx = tenantGroupIndex(sv, tc);
+        ts[t].latency =
+            StreamingQuantile(groups[ts[t].groupIdx].hedgePercentile);
+        selectors.emplace_back(groups[ts[t].groupIdx].policy,
+                               resolved[ts[t].groupIdx].count, cfg.seed, t);
+        clientTenant.insert(clientTenant.end(), tc.clients, t);
     }
 
     // Outstanding-call depth per server host, fed to power-of-two-choices.
-    std::vector<int> depth(static_cast<size_t>(net.hostCount()), 0);
-
-    Rng master(cfg.seed);
-    std::vector<Rng> rngs;
-    for (int c = 0; c < nClients; c++) rngs.push_back(master.fork());
+    std::vector<int> depth(static_cast<size_t>(h.net.hostCount()), 0);
 
     // One logical RPC: a primary call plus at most one hedge, first
     // response wins. Callbacks carry (logicalId, slot) by capture, so no
@@ -123,8 +337,6 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
     };
     std::unordered_map<uint64_t, Logical> active;
     uint64_t nextLogical = 1;
-    uint64_t issuedInWindow = 0;
-    uint64_t completedInWindow = 0;
 
     auto hedgeArmed = [&](int t) -> bool {
         const ReplicaGroupConfig& g = groups[ts[t].groupIdx];
@@ -146,12 +358,11 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         return s.hedgeDelay;
     };
 
-    std::function<void(int)> issueNext;
     std::function<void(RpcId, uint64_t, int, uint32_t, Duration)> onResponse;
 
     auto issueCall = [&](uint64_t logicalId, int slot, HostId server) {
         Logical& lg = active[logicalId];
-        const RpcId id = endpoints[lg.client]->call(
+        const RpcId id = h.endpoints[lg.client]->call(
             server, lg.size,
             [&, logicalId, slot](RpcId rid, uint32_t, uint32_t respSize,
                                  Duration elapsed) {
@@ -168,7 +379,7 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         if (it == active.end()) return;  // already resolved; stale timer
         Logical& lg = it->second;
         if (lg.hedged) return;
-        if (net.loop().now() >= cfg.stop) return;  // no new work in drain
+        if (h.now() >= cfg.stop) return;  // no new work in drain
         const int t = lg.tenant;
         const ResolvedGroup& rg = resolved[ts[t].groupIdx];
         const int primaryLocal =
@@ -190,7 +401,7 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         assert(it != active.end());
         Logical& lg = it->second;
         const int t = lg.tenant;
-        const Time now = net.loop().now();
+        const Time now = h.now();
         lg.calls[slot].open = false;
         depth[lg.calls[slot].server]--;
         led.responsesConsumed++;
@@ -209,7 +420,7 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         if (lg.calls[other].open) {
             lg.calls[other].open = false;
             depth[lg.calls[other].server]--;
-            if (endpoints[lg.client]->cancel(lg.calls[other].id)) {
+            if (h.endpoints[lg.client]->cancel(lg.calls[other].id)) {
                 led.refundedBytes += 2 * static_cast<int64_t>(lg.size);
                 if (other == 1) {
                     led.hedgesCancelled++;
@@ -239,27 +450,18 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         result.perClient->record(lg.client,
                                  static_cast<int64_t>(lg.size) + respSize,
                                  logicalElapsed, now);
-        if (lg.inWindow) completedInWindow++;
         const int client = lg.client;
-        const bool closed = sv.tenants[t].mode == ArrivalMode::Closed;
+        const bool inWindow = lg.inWindow;
         active.erase(it);
-        if (closed) {
-            const TenantConfig& tc = sv.tenants[t];
-            const Duration gap =
-                tc.think <= 0
-                    ? 1
-                    : exponentialDuration(rngs[client], toSeconds(tc.think));
-            net.loop().after(gap, [&, client] { issueNext(client); });
-        }
+        h.complete(client, inWindow);
     };
 
-    issueNext = [&](int c) {
-        if (net.loop().now() >= cfg.stop) return;
+    h.run([&](int c) {
         const int t = clientTenant[c];
         TenantState& s = ts[t];
         const ResolvedGroup& rg = resolved[s.groupIdx];
         const uint64_t seq = s.seq++;
-        const uint32_t size = s.dist->sample(rngs[c]);
+        const uint32_t size = s.dist->sample(h.rng(c));
         const int replica = selectors[t].pick(seq, [&](int r) {
             return depth[static_cast<size_t>(nClients + rg.first + r)];
         });
@@ -270,45 +472,17 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         lg.tenant = t;
         lg.client = c;
         lg.size = size;
-        lg.issuedAt = net.loop().now();
-        lg.inWindow = lg.issuedAt >= windowStart;
-        if (lg.inWindow) issuedInWindow++;
+        lg.issuedAt = h.now();
+        lg.inWindow = h.begin();
         active.emplace(logicalId, lg);
         led.logicalIssued++;
         issueCall(logicalId, 0, server);
         if (hedgeArmed(t)) {
-            net.loop().after(hedgeDelayFor(t),
-                             [&, logicalId, seq] { issueHedge(logicalId, seq); });
+            h.net.loop().after(hedgeDelayFor(t), [&, logicalId, seq] {
+                issueHedge(logicalId, seq);
+            });
         }
-
-        if (sv.tenants[t].mode == ArrivalMode::Open) {
-            const Duration gap =
-                exponentialDuration(rngs[c], toSeconds(s.meanGap));
-            net.loop().after(gap, [&, c] { issueNext(c); });
-        }
-        // Closed mode: onResponse refills the slot.
-    };
-
-    for (int c = 0; c < nClients; c++) {
-        const TenantConfig& tc = sv.tenants[clientTenant[c]];
-        if (tc.mode == ArrivalMode::Closed) {
-            // Prime the window; jitter keeps clients * W calls from firing
-            // in lockstep at t=0.
-            for (int w = 0; w < tc.window; w++) {
-                const Duration jitter = static_cast<Duration>(
-                    rngs[c].uniform() * static_cast<double>(microseconds(5)));
-                net.loop().at(jitter, [&, c] { issueNext(c); });
-            }
-        } else {
-            const Duration phase = exponentialDuration(
-                rngs[c], toSeconds(ts[clientTenant[c]].meanGap));
-            net.loop().at(phase, [&, c] { issueNext(c); });
-        }
-    }
-
-    // Single-shard (see RpcExperimentConfig::parallel); equivalent to
-    // net.loop().runUntil, routed through the engine entry for uniformity.
-    runNetworkUntil(net, cfg.stop + cfg.drainGrace);
+    });
 
     // Close the ledgers: whatever is still active never resolved. Each of
     // its open calls parks its bytes in `unresolvedBytes`; an issued,
@@ -324,62 +498,25 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
             result.tenants->recordHedgeFailed(lg.tenant);
         }
     }
-
-    result.issued = issuedInWindow;
-    result.completed = completedInWindow;
-    for (const auto& ep : endpoints) {
-        result.retries += ep->stats().retries;
-        result.reexecutions += ep->stats().reexecutions;
-    }
-    result.keptUp = issuedInWindow > 0 &&
-                    static_cast<double>(completedInWindow) >=
-                        0.99 * static_cast<double>(issuedInWindow);
-    return result;
 }
 
-// Fan-out/fan-in trees as real RPCs: the coordinator (client) calls its
-// stage-1 workers; each worker's *deferred* response fires only after its
-// own child RPCs complete (RpcEndpoint::setAsyncHandler), so retries,
-// incast marks, and at-least-once re-execution all apply per edge. The
-// harness orchestrates centrally: it samples each tree up front, issues
-// every call itself, and maps request RpcIds back to tree nodes.
-RpcExperimentResult runRpcDagExperiment(const RpcExperimentConfig& cfg) {
-    assert(validateDagConfig(cfg.dag) == nullptr);
-    const SizeDistribution& dist = workload(cfg.workload);
+// DAG: one fan-out/fan-in tree as real RPCs. The coordinator (client)
+// calls its stage-1 workers; each worker's *deferred* response fires only
+// after its own child RPCs complete (RpcEndpoint::setAsyncHandler), so
+// retries, incast marks, and at-least-once re-execution all apply per
+// edge. The harness orchestrates centrally: it samples each tree up
+// front, issues every call itself, and maps request RpcIds back to tree
+// nodes.
+void runDag(RpcHarness& h) {
+    const RpcExperimentConfig& cfg = h.cfg;
+    const int clients = h.clients;
+    const int servers = h.net.hostCount() - clients;
 
-    NetworkConfig netCfg = cfg.net;
-    if (!netCfg.switchQdisc) netCfg.switchQdisc = switchQdiscFor(cfg.proto);
-    Network net(netCfg, makeTransportFactory(cfg.proto, netCfg, &dist));
-    Oracle oracle(netCfg);
-
-    const int servers = net.hostCount() - cfg.clients;
-    assert(servers >= (cfg.dag.depth >= 2 ? 2 : 1));
-
-    std::vector<std::unique_ptr<RpcEndpoint>> endpoints;
-    for (HostId h = 0; h < net.hostCount(); h++) {
-        endpoints.push_back(std::make_unique<RpcEndpoint>(net, h));
-    }
-
-    RpcExperimentResult result;
+    RpcExperimentResult& result = h.result;
     // No slowdown tracker: per-edge RPCs are not echoes, so the echo
     // oracle has no meaningful denominator — `dag` carries the metrics.
-    const Time windowStart = static_cast<Time>(
-        cfg.warmupFraction * static_cast<double>(cfg.stop));
-    result.perClient = std::make_unique<ClosedLoopTracker>(
-        cfg.clients, windowStart, cfg.stop);
-    result.dag = std::make_unique<DagTracker>(cfg.clients, windowStart,
-                                              cfg.stop);
-
-    Rng master(cfg.seed);
-    std::vector<Rng> rngs;
-    for (int c = 0; c < cfg.clients; c++) rngs.push_back(master.fork());
-    std::vector<OnOffModulator> mods;
-    if (cfg.onOff.enabled) {
-        mods.reserve(cfg.clients);
-        for (int c = 0; c < cfg.clients; c++) {
-            mods.emplace_back(cfg.onOff, /*start=*/0, master.next());
-        }
-    }
+    result.dag =
+        std::make_unique<DagTracker>(clients, h.windowStart, cfg.stop);
 
     struct NodeState {
         // Deferred answers, one per parent whose request arrived before
@@ -401,40 +538,35 @@ RpcExperimentResult runRpcDagExperiment(const RpcExperimentConfig& cfg) {
     std::unordered_map<uint64_t, TreeRun> trees;
     std::unordered_map<RpcId, std::pair<uint64_t, int>> byRpc;
     uint64_t nextTree = 1;
-    uint64_t issuedInWindow = 0;
-    uint64_t completedInWindow = 0;
 
-    const DagCostFn cost = dagOracleCost(net, oracle);
+    const DagCostFn cost = dagOracleCost(h.net, h.oracle);
     // Node hosts come from the server pool, never the parent's own host
     // (siblings may repeat — that repetition *is* the incast).
     auto pickChild = [&](HostId parent, Rng& rng) -> HostId {
-        if (parent < cfg.clients) {
-            return static_cast<HostId>(cfg.clients + rng.below(servers));
+        if (parent < clients) {
+            return static_cast<HostId>(clients + rng.below(servers));
         }
         return static_cast<HostId>(
-            cfg.clients + uniformHostExcept(servers, parent - cfg.clients, rng));
+            clients + uniformHostExcept(servers, parent - clients, rng));
     };
 
     // Issue the request RPC for `node` on behalf of `parent` (its primary
     // parent, or a join edge's extra parent).
     std::function<void(uint64_t, int, int)> callNode;
-    std::function<void(int)> issueGated;
 
     auto completeTree = [&](uint64_t treeId, TreeRun& t) {
-        const Time now = net.loop().now();
+        const Time now = h.now();
         const Duration elapsed = now - t.issued;
         result.dag->record(t.client, static_cast<int>(t.spec.nodes.size()) - 1,
                            t.bytes, elapsed,
                            dagTreeIdeal(t.spec, cfg.dag.requestBytes, cost),
                            now);
         result.perClient->record(t.client, t.bytes, elapsed, now);
-        if (t.inWindow) completedInWindow++;
         const int c = t.client;
+        const bool inWindow = t.inWindow;
         for (RpcId id : t.rpcIds) byRpc.erase(id);
         trees.erase(treeId);
-        if (net.loop().now() < cfg.stop) {
-            net.loop().after(1, [&, c] { issueGated(c); });
-        }
+        h.complete(c, inWindow);
     };
 
     // A child's response came back to `parent`: fan-in accounting there.
@@ -462,7 +594,7 @@ RpcExperimentResult runRpcDagExperiment(const RpcExperimentConfig& cfg) {
         TreeRun& t = trees[treeId];
         const DagNodeSpec& n = t.spec.nodes[node];
         const HostId parentHost = t.spec.nodes[parent].host;
-        const RpcId id = endpoints[parentHost]->call(
+        const RpcId id = h.endpoints[parentHost]->call(
             n.host, cfg.dag.requestBytes,
             [&, treeId, parent](RpcId, uint32_t, uint32_t, Duration) {
                 onChildDone(treeId, parent);
@@ -473,8 +605,8 @@ RpcExperimentResult runRpcDagExperiment(const RpcExperimentConfig& cfg) {
 
     // Every server runs the same deferred handler: leaves answer at once;
     // internal nodes fan out and answer when their last child returns.
-    for (HostId h = cfg.clients; h < net.hostCount(); h++) {
-        endpoints[h]->setAsyncHandler(
+    for (HostId s = clients; s < h.net.hostCount(); s++) {
+        h.endpoints[s]->setAsyncHandler(
             [&](const Message& req, RpcEndpoint::Responder respond) {
                 const auto it = byRpc.find(req.id);
                 if (it == byRpc.end()) {
@@ -513,14 +645,13 @@ RpcExperimentResult runRpcDagExperiment(const RpcExperimentConfig& cfg) {
             });
     }
 
-    auto issueTree = [&](int c) {
+    h.run([&](int c) {
         const uint64_t treeId = nextTree++;
         TreeRun t;
         t.client = c;
-        t.issued = net.loop().now();
-        t.inWindow = t.issued >= windowStart;
-        if (t.inWindow) issuedInWindow++;
-        t.spec = sampleDagTree(cfg.dag, &dist, rngs[c],
+        t.issued = h.now();
+        t.inWindow = h.begin();
+        t.spec = sampleDagTree(cfg.dag, &h.dist, h.rng(c),
                                static_cast<HostId>(c), pickChild);
         t.bytes = dagTreeBytes(cfg.dag, t.spec);
         t.state.resize(t.spec.nodes.size());
@@ -533,191 +664,24 @@ RpcExperimentResult runRpcDagExperiment(const RpcExperimentConfig& cfg) {
         for (int i = 0; i < root.childCount; i++) {
             callNode(treeId, root.firstChild + i, 0);
         }
-    };
-    issueGated = [&](int c) {
-        if (net.loop().now() >= cfg.stop) return;
-        if (!mods.empty()) {
-            const Time go = mods[c].gate(net.loop().now());
-            if (go > net.loop().now()) {
-                net.loop().at(go, [&, c] { issueGated(c); });
-                return;
-            }
-        }
-        issueTree(c);
-    };
-    for (int c = 0; c < cfg.clients; c++) {
-        for (int w = 0; w < cfg.dag.window; w++) {
-            const Duration jitter = static_cast<Duration>(
-                rngs[c].uniform() * static_cast<double>(microseconds(5)));
-            net.loop().at(jitter, [&, c] { issueGated(c); });
-        }
-    }
-
-    // Single-shard (see RpcExperimentConfig::parallel); equivalent to
-    // net.loop().runUntil, routed through the engine entry for uniformity.
-    runNetworkUntil(net, cfg.stop + cfg.drainGrace);
-
-    result.issued = issuedInWindow;
-    result.completed = completedInWindow;
-    for (const auto& ep : endpoints) {
-        result.retries += ep->stats().retries;
-        result.reexecutions += ep->stats().reexecutions;
-    }
-    result.keptUp = issuedInWindow > 0 &&
-                    static_cast<double>(completedInWindow) >=
-                        0.99 * static_cast<double>(issuedInWindow);
-    return result;
+    });
 }
 
 }  // namespace
 
 RpcExperimentResult runRpcExperiment(const RpcExperimentConfig& cfg) {
-    if (cfg.serving.enabled()) return runRpcServingExperiment(cfg);
-    if (cfg.dagMode) return runRpcDagExperiment(cfg);
-    const SizeDistribution& dist = workload(cfg.workload);
-
-    NetworkConfig netCfg = cfg.net;
-    if (!netCfg.switchQdisc) netCfg.switchQdisc = switchQdiscFor(cfg.proto);
-    Network net(netCfg, makeTransportFactory(cfg.proto, netCfg, &dist));
-    Oracle oracle(netCfg);
-
-    std::vector<std::unique_ptr<RpcEndpoint>> endpoints;
-    for (HostId h = 0; h < net.hostCount(); h++) {
-        endpoints.push_back(std::make_unique<RpcEndpoint>(net, h));
+    if (const std::string err = rpcConfigError(cfg); !err.empty()) {
+        throw std::invalid_argument(err);
     }
-
-    RpcExperimentResult result;
-    result.slowdown = std::make_unique<SlowdownTracker>(dist, oracle.echoRpcFn());
-
-    const Time windowStart = static_cast<Time>(
-        cfg.warmupFraction * static_cast<double>(cfg.stop));
-
-    // Each client's uplink carries `load` of its bandwidth in requests (and
-    // symmetric responses on its downlink), matching §5.1's calibration.
-    const double psPerByte = static_cast<double>(netCfg.hostLink.psPerByte);
-    const Duration meanGap = static_cast<Duration>(
-        std::llround(dist.meanWireBytes() * psPerByte / cfg.load));
-
-    const int servers = net.hostCount() - cfg.clients;
-    assert(servers > 0);
-    const bool closedLoop = cfg.closedLoopWindow > 0;
-    Rng master(cfg.seed);
-    uint64_t issuedInWindow = 0;
-    uint64_t completedInWindow = 0;
-
-    struct ClientState {
-        Rng rng;
-        explicit ClientState(Rng r) : rng(r) {}
-    };
-    std::vector<ClientState> clients;
-    for (int c = 0; c < cfg.clients; c++) clients.emplace_back(master.fork());
-    // Modulator seeds draw from the master stream after the client forks,
-    // so enabling ON-OFF never perturbs the per-client RPC streams.
-    std::vector<OnOffModulator> mods;
-    if (cfg.onOff.enabled) {
-        mods.reserve(cfg.clients);
-        for (int c = 0; c < cfg.clients; c++) {
-            mods.emplace_back(cfg.onOff, /*start=*/0, master.next());
-        }
+    RpcHarness h(cfg);
+    if (cfg.serving.enabled()) {
+        runServing(h);
+    } else if (cfg.dagMode) {
+        runDag(h);
+    } else {
+        runEcho(h);
     }
-    result.perClient = std::make_unique<ClosedLoopTracker>(
-        cfg.clients, windowStart, cfg.stop);
-
-    auto thinkGap = [&](ClientState& st) -> Duration {
-        if (cfg.thinkTime <= 0) return 1;
-        return exponentialDuration(st.rng, toSeconds(cfg.thinkTime));
-    };
-    // Open loop + ON-OFF: Poisson on the client's ON-time clock at rate
-    // base/duty, mapped to wall clock by the modulator.
-    auto onClockDelay = [&](ClientState& st) {
-        return exponentialDuration(
-            st.rng, toSeconds(meanGap) * cfg.onOff.dutyCycle());
-    };
-
-    std::function<void(int)> issueNext;  // issue one RPC now (past gating)
-    // Closed-loop issue point: waits out an OFF period before issuing.
-    std::function<void(int)> issueGated = [&](int c) {
-        if (net.loop().now() >= cfg.stop) return;
-        if (!mods.empty()) {
-            const Time go = mods[c].gate(net.loop().now());
-            if (go > net.loop().now()) {
-                net.loop().at(go, [&, c] { issueGated(c); });
-                return;
-            }
-        }
-        issueNext(c);
-    };
-    issueNext = [&](int c) {
-        if (net.loop().now() >= cfg.stop) return;
-        ClientState& st = clients[c];
-        const uint32_t size = dist.sample(st.rng);
-        const HostId server =
-            static_cast<HostId>(cfg.clients + st.rng.below(servers));
-        const Time issuedAt = net.loop().now();
-        const bool inWindow = issuedAt >= windowStart;
-        if (inWindow) issuedInWindow++;
-        endpoints[c]->call(
-            server, size,
-            [&, c, inWindow](RpcId, uint32_t reqSize, uint32_t respSize,
-                             Duration elapsed) {
-                result.perClient->record(c, reqSize + respSize, elapsed,
-                                         net.loop().now());
-                if (inWindow) {
-                    completedInWindow++;
-                    result.slowdown->record(reqSize, elapsed);
-                }
-                if (closedLoop) {
-                    // Refill the freed slot after the think time. (An RPC
-                    // abort would leak a slot, but an abort takes ~500 ms
-                    // of backed-off retries — beyond these runs.)
-                    net.loop().after(thinkGap(clients[c]),
-                                     [&, c] { issueGated(c); });
-                }
-            });
-        if (closedLoop) return;  // the response callback drives the loop
-        if (!mods.empty()) {
-            net.loop().at(mods[c].advance(onClockDelay(st)),
-                          [&, c] { issueNext(c); });
-            return;
-        }
-        const Duration gap = exponentialDuration(st.rng, toSeconds(meanGap));
-        net.loop().after(gap, [&, c] { issueNext(c); });
-    };
-    for (int c = 0; c < cfg.clients; c++) {
-        if (closedLoop) {
-            // Prime the window; a small stagger keeps clients * W calls
-            // from firing in lockstep at t=0 (ON-OFF gating then pushes
-            // gated slots to each client's first burst).
-            for (int w = 0; w < cfg.closedLoopWindow; w++) {
-                const Duration jitter = static_cast<Duration>(
-                    clients[c].rng.uniform() *
-                    static_cast<double>(microseconds(5)));
-                net.loop().at(jitter, [&, c] { issueGated(c); });
-            }
-        } else if (!mods.empty()) {
-            net.loop().at(mods[c].advance(onClockDelay(clients[c])),
-                          [&, c] { issueNext(c); });
-        } else {
-            const Duration phase =
-                exponentialDuration(clients[c].rng, toSeconds(meanGap));
-            net.loop().at(phase, [&, c] { issueNext(c); });
-        }
-    }
-
-    // Single-shard (see RpcExperimentConfig::parallel); equivalent to
-    // net.loop().runUntil, routed through the engine entry for uniformity.
-    runNetworkUntil(net, cfg.stop + cfg.drainGrace);
-
-    result.issued = issuedInWindow;
-    result.completed = completedInWindow;
-    for (const auto& ep : endpoints) {
-        result.retries += ep->stats().retries;
-        result.reexecutions += ep->stats().reexecutions;
-    }
-    result.keptUp = issuedInWindow > 0 &&
-                    static_cast<double>(completedInWindow) >=
-                        0.99 * static_cast<double>(issuedInWindow);
-    return result;
+    return std::move(h.result);
 }
 
 namespace {

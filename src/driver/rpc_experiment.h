@@ -1,17 +1,36 @@
-// Echo-RPC experiment harness — the implementation measurements of §5.1.
+// RPC experiment harness — the implementation measurements of §5.1.
 //
 // Mirrors the paper's CloudLab setup: a single-switch cluster where client
-// hosts issue echo RPCs (send `size` bytes, the server returns them) to
-// random servers, with RPC sizes drawn from a workload. Slowdown is
-// measured against the best-case RPC time on an unloaded network.
+// hosts [0, clients) issue RPCs to the remaining server hosts. One harness
+// builds the network, one RpcEndpoint per host and the per-client arrival
+// driver, runs, and closes out the counts; a config selects which of
+// three operations a client issues:
 //
-// Two issue modes: open loop (the default — Poisson arrivals calibrated
-// to `load`) and closed loop (`closedLoopWindow` > 0 — each client keeps
-// that many RPCs in flight and issues the next only when a response
-// returns, after an optional think time). Either mode composes with
-// ON-OFF burst/idle modulation (`onOff`): open-loop arrivals run on the
-// client's ON-time clock at a boosted rate, closed-loop clients pause
-// issuing during idle periods and refill their window at burst start.
+//  * Echo (the default): one call of `size` bytes, drawn from a
+//    workload, to a random server that returns them. Slowdown is
+//    measured against the best-case RPC time on an unloaded network.
+//  * DAG (`dagMode`): one partition-aggregate tree of real RPCs with
+//    deferred fan-in (workload/rpc_dag.h).
+//  * Serving (`serving.tenants` non-empty): one hedged logical RPC from a
+//    tenant to a replica group (workload/serving.h).
+//
+// The arrival driver gives every client its own RNG stream forked from
+// the seed, in one of two modes. Open loop is Poisson arrivals
+// calibrated to a load. Closed loop keeps a window of operations in
+// flight and refills a slot when one completes, after an optional think
+// time. Either composes with ON-OFF burst/idle modulation (`onOff`,
+// echo and DAG): open-loop arrivals run on the client's ON-time clock at
+// a boosted rate, closed-loop clients pause issuing during idle periods
+// and refill their window at burst start.
+//
+// Echo is not a one-tenant serving mix: echo draws its server from the
+// client's stream, while a ReplicaSelector is a pure function of (seed,
+// tenant, sequence). Folding echo into serving would change every echo
+// result, or need a load-balancing policy only echo uses.
+//
+// runRpcExperiment validates the config in every build type and throws
+// std::invalid_argument with the reason. The harness runs single-shard:
+// it issues every call from one event loop.
 #pragma once
 
 #include <memory>
@@ -30,12 +49,13 @@ struct RpcExperimentConfig {
     NetworkConfig net = NetworkConfig::singleRack16();
     ProtocolConfig proto;
     WorkloadId workload = WorkloadId::W3;
-    double load = 0.8;  // open loop only; closed loop sets its own rate
+    double load = 0.8;  // open loop only (> 0); closed loop sets its own rate
     uint64_t seed = 17;
     Time stop = milliseconds(20);
     double warmupFraction = 0.2;
     Duration drainGrace = milliseconds(30);
-    int clients = 8;  // hosts [0, clients) are clients, the rest servers
+    int clients = 8;  // hosts [0, clients) are clients, the rest servers;
+                      // in [1, hosts - 1]
 
     /// Closed-loop mode when > 0: RPCs each client keeps outstanding.
     int closedLoopWindow = 0;
@@ -50,7 +70,8 @@ struct RpcExperimentConfig {
     /// only after all their child RPCs return. Tree node hosts are drawn
     /// from the servers; clients run closed-loop over trees (`dag.window`
     /// each; `load` and `closedLoopWindow` are ignored). ON-OFF gates
-    /// tree issues. Requires >= 2 servers when dag.depth >= 2.
+    /// tree issues. Requires >= 2 servers when dag.depth >= 2. Trees
+    /// refill a freed slot after one tick.
     bool dagMode = false;
     DagConfig dag;
 
@@ -60,18 +81,10 @@ struct RpcExperimentConfig {
     /// replica group (named server pool) through a ReplicaSelector —
     /// round-robin, random, or power-of-two-choices on outstanding-RPC
     /// depth — with optional SLO-aware hedging (workload/serving.h).
-    /// Mutually exclusive with `dagMode`; `workload`, `load`,
+    /// Rejected together with `dagMode`; `workload`, `load`,
     /// `closedLoopWindow`, `thinkTime`, and `onOff` are ignored (each
     /// tenant carries its own).
     ServingConfig serving;
-
-    /// Parallel-engine knob, accepted for config uniformity with
-    /// ExperimentConfig (sweep grids carry one knob). The RPC harness
-    /// orchestrates every client from one loop and draws RpcIds from the
-    /// global id stream, so it always runs single-shard today — and its
-    /// default single-switch topology (§5.1) would clamp to one shard
-    /// regardless.
-    ParallelConfig parallel;
 };
 
 /// Whole-run conservation ledgers of a serving experiment (not
@@ -128,11 +141,11 @@ RpcExperimentResult runRpcExperiment(const RpcExperimentConfig& cfg);
 /// Canonical serialization of everything an RpcExperimentResult measures,
 /// doubles as hex floats — the RPC-side sibling of
 /// resultFingerprint(ExperimentResult) in driver/sweep.h. Two results are
-/// byte-identical iff their fingerprints are equal; the serving
-/// determinism goldens diff these across replays, thread counts, and
-/// sweep widths. The tenant/serving block appears only when `r.tenants`
-/// is set, so non-serving fingerprints are unchanged by the serving
-/// layer's existence.
+/// byte-identical iff their fingerprints are equal; the RPC harness
+/// goldens pin them per mode, and the serving determinism tests diff them
+/// across replays and sweep widths. The tenant/serving block appears only
+/// when `r.tenants` is set, so non-serving fingerprints are unchanged by
+/// the serving layer's existence.
 std::string resultFingerprint(const RpcExperimentResult& r);
 
 /// Figure 10: one client (host 0) issues `concurrent` RPCs in parallel to

@@ -160,11 +160,6 @@ RpcSweepOutcome runRpcSweep(std::vector<RpcExperimentConfig> points,
             points[i].seed = deriveSweepSeed(opts.baseSeed, i);
         }
     }
-    if (opts.simThreads > 0) {
-        for (RpcExperimentConfig& p : points) {
-            p.parallel.threads = opts.simThreads;
-        }
-    }
     int threads = opts.threads;
     if (threads <= 0) {
         threads = static_cast<int>(std::thread::hardware_concurrency());

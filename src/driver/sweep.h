@@ -37,11 +37,13 @@ struct SweepOptions {
     /// Overwrite each point's traffic.seed with deriveSweepSeed(baseSeed, i).
     bool deriveSeeds = false;
     uint64_t baseSeed = 99;
-    /// > 0: override every point's parallel.threads, composing point-level
-    /// fan-out with the shard-level parallel engine (sim/parallel.h). Total
-    /// concurrency is then up to threads * simThreads; results stay
-    /// byte-identical either way, so the split is purely a throughput knob
-    /// (many small points: sweep threads; few huge points: sim threads).
+    /// > 0: override every message-level point's parallel.threads,
+    /// composing point-level fan-out with the shard-level parallel engine
+    /// (sim/parallel.h). Total concurrency is then up to threads *
+    /// simThreads; results stay byte-identical either way, so the split is
+    /// purely a throughput knob (many small points: sweep threads; few
+    /// huge points: sim threads). runRpcSweep ignores it: the RPC harness
+    /// runs single-shard.
     int simThreads = 0;
 };
 

@@ -1,6 +1,9 @@
 #include "sim/fault.h"
 
 #include <cassert>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -104,6 +107,21 @@ bool parseFaultDouble(const std::string& v, double& out, std::string* err) {
     return true;
 }
 
+// A flap-train count: plain decimal digits naming an int in [1, INT_MAX]
+// (no sign, fraction, exponent or overflow).
+bool parseFaultCount(const std::string& v, int& out, std::string* err) {
+    errno = 0;
+    char* end = nullptr;
+    const long long n = std::strtoll(v.c_str(), &end, 10);
+    if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
+        *end != '\0' || errno == ERANGE || n < 1 || n > INT_MAX) {
+        if (err) *err = "bad count '" + v + "' (an integer >= 1)";
+        return false;
+    }
+    out = static_cast<int>(n);
+    return true;
+}
+
 }  // namespace
 
 bool parseFaultSpec(const std::string& body, FaultSpec& out,
@@ -157,9 +175,7 @@ bool parseFaultSpec(const std::string& body, FaultSpec& out,
             if (!parseFaultDouble(val, spec.dropProb, err)) return false;
             haveDrop = true;
         } else if (key == "count") {
-            double n = 0;
-            if (!parseFaultDouble(val, n, err)) return false;
-            spec.count = static_cast<int>(n);
+            if (!parseFaultCount(val, spec.count, err)) return false;
             haveCount = true;
         } else if (key == "gap") {
             if (!parseFaultDuration(val, spec.gap, err)) return false;

@@ -47,8 +47,9 @@
 
 namespace homa {
 
-/// Thread-count knob for the parallel engine, carried by
-/// ExperimentConfig/RpcExperimentConfig and the sweep layer.
+/// Thread-count knob for the parallel engine, carried by ExperimentConfig
+/// and the sweep layer (SweepOptions::simThreads). The RPC harness
+/// (driver/rpc_experiment.h) has no such knob: it runs single-shard.
 struct ParallelConfig {
     /// Number of event-loop shards (worker threads) to aim for; values
     /// <= 1 select the classic serial engine. The effective shard count is

@@ -177,7 +177,6 @@ const std::string kServingArtifact = R"({
   "hedges_cancelled": 60,
   "hedges_failed": 0,
   "hedge_conservation_holds": true,
-  "serial_parallel_identical": true,
   "sweep_identical": true
 })";
 
@@ -205,8 +204,7 @@ TEST(BenchCompareCli, ServingGateHardFailsOnBrokenInvariantFlags) {
     const std::string cur = tempPath("serving_flag_cur.json");
     writeFile(base, kServingArtifact);
     for (const char* flag :
-         {"hedge_conservation_holds", "serial_parallel_identical",
-          "sweep_identical"}) {
+         {"hedge_conservation_holds", "sweep_identical"}) {
         std::string broken = kServingArtifact;
         const std::string on = std::string("\"") + flag + "\": true";
         broken.replace(broken.find(on), on.size(),

@@ -472,20 +472,6 @@ TEST(ServingDeterminism, SameSeedReplaysByteIdentically) {
               resultFingerprint(runRpcExperiment(servingConfig(32))));
 }
 
-TEST(ServingDeterminism, SerialEqualsParallelKnob) {
-    // The serving harness orchestrates every tenant from one loop, so
-    // parallel.threads must be inert — same bytes, not just same stats.
-    for (Protocol kind : {Protocol::Homa, Protocol::PFabric, Protocol::Ndp}) {
-        RpcExperimentConfig cfg = servingConfig();
-        cfg.proto.kind = kind;
-        const RpcExperimentResult serial = runRpcExperiment(cfg);
-        cfg.parallel.threads = 4;
-        EXPECT_EQ(resultFingerprint(serial),
-                  resultFingerprint(runRpcExperiment(cfg)))
-            << protocolName(kind);
-    }
-}
-
 TEST(ServingDeterminism, SweepPointsIdenticalAtOneAndManyThreads) {
     // Serving points ride the RPC sweep fan-out: per-point derived seeds,
     // collection in input order, byte-identical whatever the width.

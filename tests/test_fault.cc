@@ -116,6 +116,16 @@ TEST(FaultSpec, ExplainsContradictoryKeys) {
     EXPECT_EQ(parseError("degrade=host0,drop=1.0"), "drop must be in [0, 1)");
     EXPECT_EQ(parseError("flap-train=aggr0,for=1ms,gap=1ms"),
               "flap-train needs count=<n> >= 1");
+    // count= is a strict integer in [1, INT_MAX]: no fraction truncated
+    // to 2, no out-of-range double cast to int.
+    EXPECT_EQ(parseError("flap-train=aggr0,count=2.5,gap=1ms,for=1ms"),
+              "bad count '2.5' (an integer >= 1)");
+    EXPECT_EQ(parseError("flap-train=aggr0,count=1e30,gap=1ms,for=1ms"),
+              "bad count '1e30' (an integer >= 1)");
+    EXPECT_EQ(parseError("flap-train=aggr0,count=2147483648,gap=1ms,for=1ms"),
+              "bad count '2147483648' (an integer >= 1)");
+    EXPECT_EQ(parseError("flap-train=aggr0,count=0,gap=1ms,for=1ms"),
+              "bad count '0' (an integer >= 1)");
     EXPECT_EQ(parseError("flap-train=aggr0,count=3,for=1ms"),
               "flap-train needs gap=<mean duration> > 0");
     EXPECT_EQ(parseError("flap-train=aggr0,count=3,gap=1ms"),

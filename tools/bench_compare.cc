@@ -336,8 +336,7 @@ void compareFluid(const std::string& basePath, const Json& base,
 /// outputs recorded side by side in the artifact).
 void checkServingGates(const std::string& path, const Json& doc) {
     for (const char* flag :
-         {"hedge_conservation_holds", "serial_parallel_identical",
-          "sweep_identical"}) {
+         {"hedge_conservation_holds", "sweep_identical"}) {
         const Json* v = doc.get(flag);
         if (v == nullptr || v->kind != Json::Bool || !v->boolean) {
             fail("%s: %s is not true — the serving harness broke its "

@@ -58,7 +58,7 @@ int main() {
         "pHost tops out at ~58-73%%; NDP ~73%% on W5; PIAS in between with\n"
         "more workload sensitivity.\n"
         "NOTE: quick-mode windows are shorter than W4/W5's largest message,\n"
-        "so overload detection saturates there (see EXPERIMENTS.md); use\n"
+        "so overload detection saturates there (see docs/GETTING_STARTED.md); use\n"
         "HOMA_BENCH_SCALE=full to resolve the paper's capacity ordering.\n");
     return 0;
 }

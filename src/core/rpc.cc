@@ -69,14 +69,6 @@ void RpcEndpoint::onDelivered(const Message& m, const DeliveryInfo& info) {
         // Server side: execute and respond. Re-arrival of a request we
         // already answered means re-execution (at-least-once).
         if (answered_.count(m.id | kRpcResponseBit) != 0) stats_.reexecutions++;
-        if (asyncHandler_) {
-            // Deferred: the handler answers when its own work (e.g. child
-            // RPCs) completes. Copy the request; `m` dies with this frame.
-            asyncHandler_(m, [this, req = m](uint32_t responseSize) {
-                respond(req, responseSize);
-            });
-            return;
-        }
         respond(m, handler_(m));
         return;
     }

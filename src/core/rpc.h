@@ -33,17 +33,6 @@ public:
     /// Server-side handler: request message -> response size in bytes.
     using Handler = std::function<uint32_t(const Message& request)>;
 
-    /// Deferred server-side handler for operations that cannot answer at
-    /// request-delivery time (fan-out/fan-in: a node answers its parent
-    /// only after its own child RPCs return). The handler receives a
-    /// responder it must eventually invoke exactly once with the response
-    /// size; until then the RPC has no response for retransmissions to
-    /// recover, so a client RESEND re-delivers the request and re-invokes
-    /// the handler (at-least-once, as for plain handlers — §3.7).
-    using Responder = std::function<void(uint32_t responseSize)>;
-    using AsyncHandler =
-        std::function<void(const Message& request, Responder respond)>;
-
     struct Stats {
         uint64_t issued = 0;
         uint64_t completed = 0;
@@ -58,10 +47,6 @@ public:
 
     /// Default handler echoes the request (response size == request size).
     void setHandler(Handler h) { handler_ = std::move(h); }
-
-    /// Install a deferred handler instead (takes precedence over the
-    /// plain handler while set).
-    void setAsyncHandler(AsyncHandler h) { asyncHandler_ = std::move(h); }
 
     RpcId call(HostId server, uint32_t requestSize, ResponseCallback cb);
 
@@ -96,7 +81,6 @@ private:
     Network& net_;
     HostId self_;
     Handler handler_;
-    AsyncHandler asyncHandler_;
     std::map<RpcId, PendingRpc> pending_;
     // Recently answered requests: responseId -> response size, so a lost
     // response can be regenerated without re-execution while fresh.

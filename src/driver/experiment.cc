@@ -288,7 +288,11 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
         result.dag = std::make_unique<DagTracker>(
             dagRootCount(cfg.traffic.scenario.dag, net.hostCount()),
             windowStart, genStop);
-        gen.setDagCost(dagOracleCost(net, oracle));
+        // Per-edge unloaded cost: the oracle's best one-way time, on the
+        // intra-rack path when the two hosts share a rack.
+        gen.setDagCost([&net, &oracle](HostId a, HostId b, uint32_t bytes) {
+            return oracle.bestOneWay(bytes, net.rackOf(a) == net.rackOf(b));
+        });
         gen.setOnTreeComplete([&result](const DagTreeResult& t) {
             result.dag->record(t.root, t.nodes, t.bytes,
                                t.completed - t.issued, t.ideal, t.completed);
@@ -469,12 +473,6 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
         static_cast<double>(deliveredSum) >=
             0.99 * static_cast<double>(generatedSum);
     return result;
-}
-
-DagCostFn dagOracleCost(Network& net, const Oracle& oracle) {
-    return [&net, &oracle](HostId a, HostId b, uint32_t bytes) {
-        return oracle.bestOneWay(bytes, net.rackOf(a) == net.rackOf(b));
-    };
 }
 
 double findMaxLoad(ExperimentConfig base, double startPct, double stepPct,

@@ -140,13 +140,6 @@ struct ExperimentResult {
 
 ExperimentResult runExperiment(const ExperimentConfig& cfg);
 
-/// Per-edge unloaded cost for DAG tree slowdown: Oracle::bestOneWay with
-/// the intra-rack path when src/dst share a rack. One definition, used
-/// by both the message-level (runExperiment) and RPC-level
-/// (runRpcExperiment) DAG harnesses so their slowdowns share a
-/// denominator. `net` and `oracle` must outlive the returned function.
-DagCostFn dagOracleCost(Network& net, const Oracle& oracle);
-
 /// Capacity search for Figure 15: highest load (percent, step `stepPct`)
 /// the protocol sustains (keptUp) for the workload.
 double findMaxLoad(ExperimentConfig base, double startPct = 40,

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <stdexcept>
 #include <unordered_map>
@@ -18,7 +17,6 @@ namespace {
 std::string rpcConfigError(const RpcExperimentConfig& cfg) {
     const int hosts = cfg.net.hostCount();
     if (cfg.serving.enabled()) {
-        if (cfg.dagMode) return "dagMode does not combine with serving tenants";
         const std::string err = validateServingConfig(cfg.serving, hosts);
         return err.empty() ? err : "invalid serving config: " + err;
     }
@@ -28,21 +26,13 @@ std::string rpcConfigError(const RpcExperimentConfig& cfg) {
                "]: every client needs a server among " +
                std::to_string(hosts) + " hosts";
     }
-    if (cfg.dagMode) {
-        if (const char* err = validateDagConfig(cfg.dag)) {
-            return std::string("invalid dag config: ") + err;
-        }
-        if (cfg.dag.depth >= 2 && hosts - cfg.clients < 2) {
-            return "dag depth >= 2 needs at least 2 servers, got " +
-                   std::to_string(hosts - cfg.clients);
-        }
-    } else if (cfg.closedLoopWindow <= 0 && !(cfg.load > 0)) {
+    if (cfg.closedLoopWindow <= 0 && !(cfg.load > 0)) {
         return "open-loop load must be > 0";
     }
     return "";
 }
 
-// What echo, DAG and serving share: the network and one endpoint per
+// What echo and serving share: the network and one endpoint per
 // host, the measurement window, the per-client arrival driver and the
 // close-out. A mode builds its own trackers and state, then hands run()
 // the function that starts one of its operations on a client. The
@@ -158,9 +148,6 @@ RpcHarness::RpcHarness(const RpcExperimentConfig& c)
                     ? open(tc.workload, tc.load)
                     : Arrivals{tc.mode, 0, tc.window, tc.think});
         }
-    } else if (c.dagMode) {
-        arrivals_.assign(clients,
-                         Arrivals{ArrivalMode::Closed, 0, c.dag.window, 0});
     } else if (c.closedLoopWindow > 0) {
         arrivals_.assign(clients, Arrivals{ArrivalMode::Closed, 0,
                                            c.closedLoopWindow, c.thinkTime});
@@ -500,173 +487,6 @@ void runServing(RpcHarness& h) {
     }
 }
 
-// DAG: one fan-out/fan-in tree as real RPCs. The coordinator (client)
-// calls its stage-1 workers; each worker's *deferred* response fires only
-// after its own child RPCs complete (RpcEndpoint::setAsyncHandler), so
-// retries, incast marks, and at-least-once re-execution all apply per
-// edge. The harness orchestrates centrally: it samples each tree up
-// front, issues every call itself, and maps request RpcIds back to tree
-// nodes.
-void runDag(RpcHarness& h) {
-    const RpcExperimentConfig& cfg = h.cfg;
-    const int clients = h.clients;
-    const int servers = h.net.hostCount() - clients;
-
-    RpcExperimentResult& result = h.result;
-    // No slowdown tracker: per-edge RPCs are not echoes, so the echo
-    // oracle has no meaningful denominator — `dag` carries the metrics.
-    result.dag =
-        std::make_unique<DagTracker>(clients, h.windowStart, cfg.stop);
-
-    struct NodeState {
-        // Deferred answers, one per parent whose request arrived before
-        // the node's subtree completed (join children have two parents).
-        std::vector<RpcEndpoint::Responder> responders;
-        int pending = 0;     // unanswered children + join children
-        bool issued = false;  // child RPCs already sent
-    };
-    struct TreeRun {
-        DagTreeSpec spec;
-        std::vector<NodeState> state;
-        std::vector<std::vector<int>> joinKids;  // dagJoinChildren(spec)
-        std::vector<RpcId> rpcIds;
-        int client = 0;
-        Time issued = 0;
-        bool inWindow = false;
-        int64_t bytes = 0;
-    };
-    std::unordered_map<uint64_t, TreeRun> trees;
-    std::unordered_map<RpcId, std::pair<uint64_t, int>> byRpc;
-    uint64_t nextTree = 1;
-
-    const DagCostFn cost = dagOracleCost(h.net, h.oracle);
-    // Node hosts come from the server pool, never the parent's own host
-    // (siblings may repeat — that repetition *is* the incast).
-    auto pickChild = [&](HostId parent, Rng& rng) -> HostId {
-        if (parent < clients) {
-            return static_cast<HostId>(clients + rng.below(servers));
-        }
-        return static_cast<HostId>(
-            clients + uniformHostExcept(servers, parent - clients, rng));
-    };
-
-    // Issue the request RPC for `node` on behalf of `parent` (its primary
-    // parent, or a join edge's extra parent).
-    std::function<void(uint64_t, int, int)> callNode;
-
-    auto completeTree = [&](uint64_t treeId, TreeRun& t) {
-        const Time now = h.now();
-        const Duration elapsed = now - t.issued;
-        result.dag->record(t.client, static_cast<int>(t.spec.nodes.size()) - 1,
-                           t.bytes, elapsed,
-                           dagTreeIdeal(t.spec, cfg.dag.requestBytes, cost),
-                           now);
-        result.perClient->record(t.client, t.bytes, elapsed, now);
-        const int c = t.client;
-        const bool inWindow = t.inWindow;
-        for (RpcId id : t.rpcIds) byRpc.erase(id);
-        trees.erase(treeId);
-        h.complete(c, inWindow);
-    };
-
-    // A child's response came back to `parent`: fan-in accounting there.
-    auto onChildDone = [&](uint64_t treeId, int parent) {
-        const auto it = trees.find(treeId);
-        assert(it != trees.end());
-        TreeRun& t = it->second;
-        NodeState& ps = t.state[parent];
-        assert(ps.pending > 0);
-        if (--ps.pending > 0) return;
-        if (parent == 0) {
-            completeTree(treeId, t);
-            return;
-        }
-        // Answer every parent whose request arrived so far (a join
-        // child's late second parent is answered straight from the
-        // handler's completed-subtree branch).
-        for (RpcEndpoint::Responder& r : ps.responders) {
-            r(t.spec.nodes[parent].respBytes);
-        }
-        ps.responders.clear();
-    };
-
-    callNode = [&](uint64_t treeId, int node, int parent) {
-        TreeRun& t = trees[treeId];
-        const DagNodeSpec& n = t.spec.nodes[node];
-        const HostId parentHost = t.spec.nodes[parent].host;
-        const RpcId id = h.endpoints[parentHost]->call(
-            n.host, cfg.dag.requestBytes,
-            [&, treeId, parent](RpcId, uint32_t, uint32_t, Duration) {
-                onChildDone(treeId, parent);
-            });
-        t.rpcIds.push_back(id);
-        byRpc.emplace(id, std::make_pair(treeId, node));
-    };
-
-    // Every server runs the same deferred handler: leaves answer at once;
-    // internal nodes fan out and answer when their last child returns.
-    for (HostId s = clients; s < h.net.hostCount(); s++) {
-        h.endpoints[s]->setAsyncHandler(
-            [&](const Message& req, RpcEndpoint::Responder respond) {
-                const auto it = byRpc.find(req.id);
-                if (it == byRpc.end()) {
-                    respond(1);  // stale retry of an already-completed tree
-                    return;
-                }
-                const auto [treeId, node] = it->second;
-                TreeRun& t = trees[treeId];
-                const DagNodeSpec& n = t.spec.nodes[node];
-                if (n.childCount == 0) {
-                    respond(n.respBytes);
-                    return;
-                }
-                NodeState& ns = t.state[node];
-                if (!ns.issued) {
-                    // First request triggers the single fan-out: own
-                    // children plus join children this node is the extra
-                    // parent of.
-                    ns.issued = true;
-                    ns.pending = n.childCount +
-                                 static_cast<int>(t.joinKids[node].size());
-                    ns.responders.push_back(std::move(respond));
-                    for (int c = 0; c < n.childCount; c++) {
-                        callNode(treeId, n.firstChild + c, node);
-                    }
-                    for (int jc : t.joinKids[node]) {
-                        callNode(treeId, jc, node);
-                    }
-                } else if (ns.pending == 0) {
-                    // Subtree already complete (a join child's second
-                    // parent, or a re-executed retry): answer now.
-                    respond(n.respBytes);
-                } else {
-                    ns.responders.push_back(std::move(respond));
-                }
-            });
-    }
-
-    h.run([&](int c) {
-        const uint64_t treeId = nextTree++;
-        TreeRun t;
-        t.client = c;
-        t.issued = h.now();
-        t.inWindow = h.begin();
-        t.spec = sampleDagTree(cfg.dag, &h.dist, h.rng(c),
-                               static_cast<HostId>(c), pickChild);
-        t.bytes = dagTreeBytes(cfg.dag, t.spec);
-        t.state.resize(t.spec.nodes.size());
-        t.joinKids = dagJoinChildren(t.spec);
-        // The root never has join children (extra parents sit at stage
-        // >= 1), so its pending is its own fan-out alone.
-        t.state[0].pending = t.spec.nodes[0].childCount;
-        TreeRun& placed = trees.emplace(treeId, std::move(t)).first->second;
-        const DagNodeSpec& root = placed.spec.nodes[0];
-        for (int i = 0; i < root.childCount; i++) {
-            callNode(treeId, root.firstChild + i, 0);
-        }
-    });
-}
-
 }  // namespace
 
 RpcExperimentResult runRpcExperiment(const RpcExperimentConfig& cfg) {
@@ -676,107 +496,10 @@ RpcExperimentResult runRpcExperiment(const RpcExperimentConfig& cfg) {
     RpcHarness h(cfg);
     if (cfg.serving.enabled()) {
         runServing(h);
-    } else if (cfg.dagMode) {
-        runDag(h);
     } else {
         runEcho(h);
     }
     return std::move(h.result);
-}
-
-namespace {
-
-void appendNum(std::string& s, const char* key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s=%a;", key, v);
-    s += buf;
-}
-
-void appendInt(std::string& s, const char* key, uint64_t v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s=%llu;",
-                  key, static_cast<unsigned long long>(v));
-    s += buf;
-}
-
-}  // namespace
-
-std::string resultFingerprint(const RpcExperimentResult& r) {
-    std::string s;
-    appendInt(s, "issued", r.issued);
-    appendInt(s, "completed", r.completed);
-    appendInt(s, "retries", r.retries);
-    appendInt(s, "reexecutions", r.reexecutions);
-    appendInt(s, "keptUp", r.keptUp ? 1 : 0);
-    if (r.slowdown) {
-        appendNum(s, "p50", r.slowdown->overallPercentile(0.50));
-        appendNum(s, "p99", r.slowdown->overallPercentile(0.99));
-        for (const SlowdownRow& row : r.slowdown->rows()) {
-            appendInt(s, "bucketCount", row.count);
-            appendNum(s, "bucketMedian", row.median);
-            appendNum(s, "bucketP99", row.p99);
-            appendNum(s, "bucketMean", row.mean);
-        }
-    }
-    if (r.perClient) {
-        appendInt(s, "clCompleted", r.perClient->totalCompleted());
-        appendInt(s, "clMaxClient", r.perClient->maxClientCompleted());
-        appendInt(s, "clMinClient", r.perClient->minClientCompleted());
-        appendNum(s, "clOpsPerSec", r.perClient->aggregateOpsPerSec());
-        appendNum(s, "clGbps", r.perClient->aggregateGbps());
-        appendNum(s, "clLatP50", r.perClient->latencyPercentileUs(0.50));
-        appendNum(s, "clLatP99", r.perClient->latencyPercentileUs(0.99));
-    }
-    if (r.dag) {
-        appendInt(s, "dagTrees", r.dag->trees());
-        appendInt(s, "dagNodes", r.dag->totalNodes());
-        appendInt(s, "dagBytes", static_cast<uint64_t>(r.dag->totalBytes()));
-        appendInt(s, "dagMaxRoot", r.dag->maxRootTrees());
-        appendInt(s, "dagMinRoot", r.dag->minRootTrees());
-        appendNum(s, "dagTreesPerSec", r.dag->treesPerSec());
-        appendNum(s, "dagCompP50", r.dag->completionPercentileUs(0.50));
-        appendNum(s, "dagCompP99", r.dag->completionPercentileUs(0.99));
-        appendNum(s, "dagSlowP50", r.dag->slowdownPercentile(0.50));
-        appendNum(s, "dagSlowP99", r.dag->slowdownPercentile(0.99));
-    }
-    if (r.tenants) {
-        // Serving block only: non-serving fingerprints are byte-identical
-        // to the pre-serving format (the no-tenants golden relies on it).
-        appendInt(s, "tnTenants", static_cast<uint64_t>(r.tenants->tenants()));
-        for (int t = 0; t < r.tenants->tenants(); t++) {
-            appendInt(s, "tnCompleted", r.tenants->completed(t));
-            appendNum(s, "tnOpsPerSec", r.tenants->opsPerSec(t));
-            appendNum(s, "tnGbps", r.tenants->gbps(t));
-            appendNum(s, "tnLatP50", r.tenants->latencyPercentileUs(t, 0.50));
-            appendNum(s, "tnLatP99", r.tenants->latencyPercentileUs(t, 0.99));
-            appendNum(s, "tnLatMean", r.tenants->latencyMeanUs(t));
-            appendNum(s, "tnSlowP50", r.tenants->slowdownPercentile(t, 0.50));
-            appendNum(s, "tnSlowP99", r.tenants->slowdownPercentile(t, 0.99));
-            const TenantHedgeStats& h = r.tenants->hedges(t);
-            appendInt(s, "tnHedgeIssued", h.issued);
-            appendInt(s, "tnHedgeWon", h.won);
-            appendInt(s, "tnHedgeCancelled", h.cancelled);
-            appendInt(s, "tnHedgeFailed", h.failed);
-        }
-        appendInt(s, "svLogicalIssued", r.serving.logicalIssued);
-        appendInt(s, "svLogicalCompleted", r.serving.logicalCompleted);
-        appendInt(s, "svCallsIssued", r.serving.callsIssued);
-        appendInt(s, "svResponsesConsumed", r.serving.responsesConsumed);
-        appendInt(s, "svHedgesIssued", r.serving.hedgesIssued);
-        appendInt(s, "svHedgesWon", r.serving.hedgesWon);
-        appendInt(s, "svHedgesCancelled", r.serving.hedgesCancelled);
-        appendInt(s, "svHedgesFailed", r.serving.hedgesFailed);
-        appendInt(s, "svPrimariesCancelled", r.serving.primariesCancelled);
-        appendInt(s, "svIssuedBytes",
-                  static_cast<uint64_t>(r.serving.issuedBytes));
-        appendInt(s, "svConsumedBytes",
-                  static_cast<uint64_t>(r.serving.consumedBytes));
-        appendInt(s, "svRefundedBytes",
-                  static_cast<uint64_t>(r.serving.refundedBytes));
-        appendInt(s, "svUnresolvedBytes",
-                  static_cast<uint64_t>(r.serving.unresolvedBytes));
-    }
-    return s;
 }
 
 IncastResult runIncastExperiment(int concurrent, bool incastControl,

@@ -4,13 +4,11 @@
 // hosts [0, clients) issue RPCs to the remaining server hosts. One harness
 // builds the network, one RpcEndpoint per host and the per-client arrival
 // driver, runs, and closes out the counts; a config selects which of
-// three operations a client issues:
+// two operations a client issues:
 //
 //  * Echo (the default): one call of `size` bytes, drawn from a
 //    workload, to a random server that returns them. Slowdown is
 //    measured against the best-case RPC time on an unloaded network.
-//  * DAG (`dagMode`): one partition-aggregate tree of real RPCs with
-//    deferred fan-in (workload/rpc_dag.h).
 //  * Serving (`serving.tenants` non-empty): one hedged logical RPC from a
 //    tenant to a replica group (workload/serving.h).
 //
@@ -19,7 +17,7 @@
 // calibrated to a load. Closed loop keeps a window of operations in
 // flight and refills a slot when one completes, after an optional think
 // time. Either composes with ON-OFF burst/idle modulation (`onOff`,
-// echo and DAG): open-loop arrivals run on the client's ON-time clock at
+// echo only): open-loop arrivals run on the client's ON-time clock at
 // a boosted rate, closed-loop clients pause issuing during idle periods
 // and refill their window at burst start.
 //
@@ -40,7 +38,6 @@
 #include "core/rpc.h"
 #include "driver/experiment.h"
 #include "stats/tenant.h"
-#include "workload/rpc_dag.h"
 #include "workload/serving.h"
 
 namespace homa {
@@ -64,26 +61,14 @@ struct RpcExperimentConfig {
     /// ON-OFF burst/idle modulation of request issue (both modes).
     OnOffConfig onOff;
 
-    /// Fan-out/fan-in mode: instead of independent echo RPCs, each client
-    /// issues partition-aggregate trees (workload/rpc_dag.h) as *real*
-    /// RPCs — internal nodes answer their parent via deferred responses
-    /// only after all their child RPCs return. Tree node hosts are drawn
-    /// from the servers; clients run closed-loop over trees (`dag.window`
-    /// each; `load` and `closedLoopWindow` are ignored). ON-OFF gates
-    /// tree issues. Requires >= 2 servers when dag.depth >= 2. Trees
-    /// refill a freed slot after one tick.
-    bool dagMode = false;
-    DagConfig dag;
-
     /// Multi-tenant serving mode when `serving.tenants` is non-empty:
     /// each tenant owns a client subset (serving.totalClients() replaces
     /// `clients`) with its own workload/arrival mode, and sends to a
     /// replica group (named server pool) through a ReplicaSelector —
     /// round-robin, random, or power-of-two-choices on outstanding-RPC
     /// depth — with optional SLO-aware hedging (workload/serving.h).
-    /// Rejected together with `dagMode`; `workload`, `load`,
-    /// `closedLoopWindow`, `thinkTime`, and `onOff` are ignored (each
-    /// tenant carries its own).
+    /// `workload`, `load`, `closedLoopWindow`, `thinkTime`, and `onOff`
+    /// are ignored (each tenant carries its own).
     ServingConfig serving;
 };
 
@@ -120,15 +105,10 @@ struct RpcExperimentResult {
     uint64_t completed = 0;
     uint64_t retries = 0;
     uint64_t reexecutions = 0;
-    /// Slowdown vs best echo RPC time (null in dag mode — per-edge RPCs
-    /// are not echoes, so the echo oracle has no denominator there).
+    /// Echo only (null in serving mode): slowdown vs best echo RPC time.
     std::unique_ptr<SlowdownTracker> slowdown;
-    /// Per-client in-window throughput and RPC latency percentiles (dag
-    /// mode: one op per completed tree).
+    /// Per-client in-window throughput and RPC latency percentiles.
     std::unique_ptr<ClosedLoopTracker> perClient;
-    /// Dag mode only (null otherwise): per-tree completion and slowdown.
-    /// `issued`/`completed` then count trees, not individual RPCs.
-    std::unique_ptr<DagTracker> dag;
     /// Serving mode only (null otherwise): per-tenant SLO metrics.
     std::unique_ptr<TenantTracker> tenants;
     /// Serving mode conservation ledgers (all-zero otherwise).
@@ -140,7 +120,9 @@ RpcExperimentResult runRpcExperiment(const RpcExperimentConfig& cfg);
 
 /// Canonical serialization of everything an RpcExperimentResult measures,
 /// doubles as hex floats — the RPC-side sibling of
-/// resultFingerprint(ExperimentResult) in driver/sweep.h. Two results are
+/// resultFingerprint(ExperimentResult) in driver/sweep.h, defined beside
+/// it in sweep.cc so the slowdown and per-client blocks they share have
+/// one copy. Two results are
 /// byte-identical iff their fingerprints are equal; the RPC harness
 /// goldens pin them per mode, and the serving determinism tests diff them
 /// across replays and sweep widths. The tenant/serving block appears only

@@ -216,6 +216,28 @@ void appendInt(std::string& s, const char* key, uint64_t v) {
     s += buf;
 }
 
+// The blocks both resultFingerprint overloads share, key for key.
+void appendPerClient(std::string& s, const ClosedLoopTracker& cl) {
+    appendInt(s, "clCompleted", cl.totalCompleted());
+    appendInt(s, "clMaxClient", cl.maxClientCompleted());
+    appendInt(s, "clMinClient", cl.minClientCompleted());
+    appendNum(s, "clOpsPerSec", cl.aggregateOpsPerSec());
+    appendNum(s, "clGbps", cl.aggregateGbps());
+    appendNum(s, "clLatP50", cl.latencyPercentileUs(0.50));
+    appendNum(s, "clLatP99", cl.latencyPercentileUs(0.99));
+}
+
+void appendSlowdown(std::string& s, const SlowdownTracker& sd) {
+    appendNum(s, "p50", sd.overallPercentile(0.50));
+    appendNum(s, "p99", sd.overallPercentile(0.99));
+    for (const SlowdownRow& row : sd.rows()) {
+        appendInt(s, "bucketCount", row.count);
+        appendNum(s, "bucketMedian", row.median);
+        appendNum(s, "bucketP99", row.p99);
+        appendNum(s, "bucketMean", row.mean);
+    }
+}
+
 }  // namespace
 
 std::string resultFingerprint(const ExperimentResult& r) {
@@ -252,13 +274,7 @@ std::string resultFingerprint(const ExperimentResult& r) {
     appendInt(s, "keptUp", r.keptUp ? 1 : 0);
     if (r.closedLoop) {
         appendInt(s, "clMaxOutstanding", static_cast<uint64_t>(r.maxOutstanding));
-        appendInt(s, "clCompleted", r.closedLoop->totalCompleted());
-        appendInt(s, "clMaxClient", r.closedLoop->maxClientCompleted());
-        appendInt(s, "clMinClient", r.closedLoop->minClientCompleted());
-        appendNum(s, "clOpsPerSec", r.closedLoop->aggregateOpsPerSec());
-        appendNum(s, "clGbps", r.closedLoop->aggregateGbps());
-        appendNum(s, "clLatP50", r.closedLoop->latencyPercentileUs(0.50));
-        appendNum(s, "clLatP99", r.closedLoop->latencyPercentileUs(0.99));
+        appendPerClient(s, *r.closedLoop);
     }
     if (r.dag) {
         appendInt(s, "dagMaxOutstanding", static_cast<uint64_t>(r.maxOutstanding));
@@ -303,15 +319,55 @@ std::string resultFingerprint(const ExperimentResult& r) {
         appendNum(s, "fluidSlowP99", r.fluid->slowP99);
         appendNum(s, "fluidSlowMean", r.fluid->slowMean);
     }
-    if (r.slowdown) {
-        appendNum(s, "p50", r.slowdown->overallPercentile(0.50));
-        appendNum(s, "p99", r.slowdown->overallPercentile(0.99));
-        for (const SlowdownRow& row : r.slowdown->rows()) {
-            appendInt(s, "bucketCount", row.count);
-            appendNum(s, "bucketMedian", row.median);
-            appendNum(s, "bucketP99", row.p99);
-            appendNum(s, "bucketMean", row.mean);
+    if (r.slowdown) appendSlowdown(s, *r.slowdown);
+    return s;
+}
+
+std::string resultFingerprint(const RpcExperimentResult& r) {
+    std::string s;
+    appendInt(s, "issued", r.issued);
+    appendInt(s, "completed", r.completed);
+    appendInt(s, "retries", r.retries);
+    appendInt(s, "reexecutions", r.reexecutions);
+    appendInt(s, "keptUp", r.keptUp ? 1 : 0);
+    if (r.slowdown) appendSlowdown(s, *r.slowdown);
+    if (r.perClient) appendPerClient(s, *r.perClient);
+    if (r.tenants) {
+        // Serving block only: non-serving fingerprints are byte-identical
+        // to the pre-serving format (the no-tenants golden relies on it).
+        appendInt(s, "tnTenants", static_cast<uint64_t>(r.tenants->tenants()));
+        for (int t = 0; t < r.tenants->tenants(); t++) {
+            appendInt(s, "tnCompleted", r.tenants->completed(t));
+            appendNum(s, "tnOpsPerSec", r.tenants->opsPerSec(t));
+            appendNum(s, "tnGbps", r.tenants->gbps(t));
+            appendNum(s, "tnLatP50", r.tenants->latencyPercentileUs(t, 0.50));
+            appendNum(s, "tnLatP99", r.tenants->latencyPercentileUs(t, 0.99));
+            appendNum(s, "tnLatMean", r.tenants->latencyMeanUs(t));
+            appendNum(s, "tnSlowP50", r.tenants->slowdownPercentile(t, 0.50));
+            appendNum(s, "tnSlowP99", r.tenants->slowdownPercentile(t, 0.99));
+            const TenantHedgeStats& h = r.tenants->hedges(t);
+            appendInt(s, "tnHedgeIssued", h.issued);
+            appendInt(s, "tnHedgeWon", h.won);
+            appendInt(s, "tnHedgeCancelled", h.cancelled);
+            appendInt(s, "tnHedgeFailed", h.failed);
         }
+        appendInt(s, "svLogicalIssued", r.serving.logicalIssued);
+        appendInt(s, "svLogicalCompleted", r.serving.logicalCompleted);
+        appendInt(s, "svCallsIssued", r.serving.callsIssued);
+        appendInt(s, "svResponsesConsumed", r.serving.responsesConsumed);
+        appendInt(s, "svHedgesIssued", r.serving.hedgesIssued);
+        appendInt(s, "svHedgesWon", r.serving.hedgesWon);
+        appendInt(s, "svHedgesCancelled", r.serving.hedgesCancelled);
+        appendInt(s, "svHedgesFailed", r.serving.hedgesFailed);
+        appendInt(s, "svPrimariesCancelled", r.serving.primariesCancelled);
+        appendInt(s, "svIssuedBytes",
+                  static_cast<uint64_t>(r.serving.issuedBytes));
+        appendInt(s, "svConsumedBytes",
+                  static_cast<uint64_t>(r.serving.consumedBytes));
+        appendInt(s, "svRefundedBytes",
+                  static_cast<uint64_t>(r.serving.refundedBytes));
+        appendInt(s, "svUnresolvedBytes",
+                  static_cast<uint64_t>(r.serving.unresolvedBytes));
     }
     return s;
 }

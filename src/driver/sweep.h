@@ -122,7 +122,7 @@ private:
     SweepOptions opts_;
 };
 
-/// RPC-harness sweep: the serving/dag/echo sibling of SweepRunner::run,
+/// RPC-harness sweep: the serving/echo sibling of SweepRunner::run,
 /// with the same contract — results[i] corresponds to points[i] whatever
 /// the thread count, and SweepOptions::deriveSeeds overwrites point i's
 /// `seed` with deriveSweepSeed(baseSeed, i) so a width-N sweep runs the

@@ -57,10 +57,13 @@ bool parseTarget(const std::string& v, FaultSpec& out, std::string* err) {
         }
         return false;
     }
+    // Digits only: strtol alone would also take a sign or leading blanks
+    // ("aggr+1", "aggr 1") and wrap an index past INT_MAX in the cast.
     const std::string idx = v.substr(prefix);
     char* end = nullptr;
     const long n = std::strtol(idx.c_str(), &end, 10);
-    if (idx.empty() || *end != '\0' || n < 0) {
+    if (idx.empty() || !std::isdigit(static_cast<unsigned char>(idx[0])) ||
+        *end != '\0' || n > INT_MAX) {
         if (err) {
             *err = "bad fault target index in '" + v +
                    "' (expected aggr<k>, core<c>, tor<r>, or host<h>)";

@@ -9,14 +9,11 @@
 // (uniform, incast, closed-loop) can express that dependency structure;
 // this module does.
 //
-// Two harnesses drive the same tree description:
-//  * `DagEngine` — message-level orchestration inside `TrafficGenerator`
-//    (`TrafficPatternKind::Dag`): every edge is a one-way request message
-//    down and a response message up, so every transport in the repo runs
-//    the workload unmodified and `runExperiment`/`SweepRunner`/
-//    `resultFingerprint` apply as-is.
-//  * `runRpcExperiment` dag mode — the same trees as *real* RPCs through
-//    `RpcEndpoint` (deferred fan-in responses, retries, incast marks).
+// `DagEngine` drives the trees inside `TrafficGenerator`
+// (`TrafficPatternKind::Dag`): every edge is a one-way request message
+// down and a response message up, so every transport in the repo runs the
+// workload unmodified and `runExperiment`/`SweepRunner`/
+// `resultFingerprint` apply as-is.
 //
 // Trees are closed-loop: each root keeps `DagConfig::window` trees in
 // flight and issues the next one when a tree completes, riding the same
@@ -85,8 +82,8 @@ const char* validateDagConfig(const DagConfig& cfg);
 int dagRootCount(const DagConfig& cfg, int hostCount);
 
 /// Uniform pick over [0, hostCount) excluding `exclude` — the skip-one
-/// sampling shared by the flat patterns (scenario.cc), the DAG engines,
-/// and the tests. Requires hostCount >= 2 and exclude in range.
+/// sampling shared by the flat patterns (scenario.cc) and the tree
+/// sampler. Requires hostCount >= 2 and exclude in range.
 inline HostId uniformHostExcept(int hostCount, HostId exclude, Rng& rng) {
     HostId h = static_cast<HostId>(rng.below(hostCount - 1));
     if (h >= exclude) h++;
@@ -127,14 +124,13 @@ struct DagTreeSpec {
 /// node p, in edge order. Nodes with no joins get empty lists.
 std::vector<std::vector<int>> dagJoinChildren(const DagTreeSpec& tree);
 
-/// Samples one tree: shape from `cfg`, node hosts from `pickChild`
-/// (must never return the parent's host), response sizes from
-/// `cfg.stageResponseBytes` or — when that is empty — from `sizes`
-/// (required in that case). All randomness draws from `rng`.
-DagTreeSpec sampleDagTree(
-    const DagConfig& cfg, const SizeDistribution* sizes, Rng& rng,
-    HostId root,
-    const std::function<HostId(HostId parent, Rng&)>& pickChild);
+/// Samples one tree rooted at `root`: shape from `cfg`, each child's host
+/// uniform over the `hostCount` hosts except its parent's (siblings may
+/// share a host), response sizes from `cfg.stageResponseBytes` or — when
+/// that is empty — from `sizes` (required in that case). All randomness
+/// draws from `rng`.
+DagTreeSpec sampleDagTree(const DagConfig& cfg, const SizeDistribution* sizes,
+                          Rng& rng, HostId root, int hostCount);
 
 /// Payload bytes the tree moves end-to-end: one request per edge plus
 /// every node's response — join edges carry their own request and

@@ -294,7 +294,7 @@ bool applyKeys(const std::string& head, const std::string& body,
 // Why a segment cannot ride along with tenants; any other pattern gets
 // the generic reason.
 const std::pair<const char*, const char*> kServingClashes[] = {
-    {"dag", "serving mode and dag mode are separate RPC harnesses"},
+    {"dag", "serving mode and dag mode are separate harnesses"},
     {"trace", "tenants issue their own RPCs, a replayed schedule cannot"},
     {"closed-loop",
      "closed-loop tenants set mode=closed,window=N,think_us=F in the "

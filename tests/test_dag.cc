@@ -3,8 +3,7 @@
 // (a parent's response must never be emitted before its last child's
 // response is delivered — verified with accounting external to the
 // engine, as in test_closed_loop.cc), straggler dominance of tree
-// latency, end-to-end metrics from runExperiment, the RPC-level
-// partition-aggregate mode of runRpcExperiment, and the CLI runner's
+// latency, end-to-end metrics from runExperiment, and the CLI runner's
 // contradictory-flag validation.
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include <sys/wait.h>
 #endif
 
-#include "driver/rpc_experiment.h"
 #include "driver/sweep.h"
 #include "workload/generator.h"
 
@@ -99,10 +97,7 @@ TEST(DagSpec, PatternNameRoundTrips) {
 DagTreeSpec sampleTree(const DagConfig& cfg, uint64_t seed = 7,
                        int hosts = 16) {
     Rng rng(seed);
-    return sampleDagTree(cfg, nullptr, rng, /*root=*/0,
-                         [hosts](HostId parent, Rng& r) {
-                             return uniformHostExcept(hosts, parent, r);
-                         });
+    return sampleDagTree(cfg, nullptr, rng, /*root=*/0, hosts);
 }
 
 TEST(DagTree, SamplesTheConfiguredShape) {
@@ -383,48 +378,57 @@ TEST(DagJoins, SpecParsesAndEndToEndReplaysByteIdentically) {
 // --------------------------------------------- fan-in semantics (external)
 
 TEST(DagFanIn, ParentResponseNeverFiresBeforeLastChildDelivery) {
-    DagConfig dag;
-    dag.fanout = 3;
-    dag.depth = 2;
-    dag.roots = 4;
-    dag.stageResponseBytes = {500, 200};
-    Network net(NetworkConfig::singleRack16(), [](HostServices& h) {
-        return std::make_unique<DelayTransport>(h);
-    });
-    TrafficGenerator* genPtr = nullptr;
-    // External ledger: which (tree, node) responses have been delivered.
-    std::set<std::pair<uint64_t, int>> deliveredResponses;
-    uint64_t responsesChecked = 0;
-    TrafficGenerator gen(net, dagConfig(dag), [&](const Message& m) {
-        const auto role = genPtr->dag()->roleOf(m.id);
-        ASSERT_TRUE(role.has_value());  // every dag message is the engine's
-        if (!role->response) return;
-        const DagTreeSpec* spec = genPtr->dag()->treeSpec(role->tree);
-        ASSERT_NE(spec, nullptr);
-        const DagNodeSpec& n = spec->nodes[role->node];
-        // The node fires its own response only after every one of its
-        // children's responses was *delivered* to it.
-        for (int c = 0; c < n.childCount; c++) {
-            EXPECT_TRUE(deliveredResponses.count(
-                {role->tree, n.firstChild + c}) != 0)
-                << "tree " << role->tree << " node " << role->node
-                << " responded before child " << n.firstChild + c;
-            responsesChecked++;
-        }
-    });
-    genPtr = &gen;
-    net.setDeliveryCallback([&](const Message& m, const DeliveryInfo&) {
-        const auto role = gen.dag()->roleOf(m.id);
-        ASSERT_TRUE(role.has_value());
-        if (role->response) {
-            deliveredResponses.insert({role->tree, role->node});
-        }
-        gen.onDelivered(m);
-    });
-    gen.start();
-    net.loop().runUntil(milliseconds(3));
-    EXPECT_GT(gen.dag()->treesCompleted(), 20u);
-    EXPECT_GT(responsesChecked, 100u);  // internal-node fan-ins were checked
+    DagConfig narrow;
+    narrow.fanout = 3;
+    narrow.depth = 2;
+    narrow.roots = 4;
+    narrow.stageResponseBytes = {500, 200};
+    // Fan-out past the 15 hosts a node can pick from: siblings share
+    // hosts, so one host runs several nodes of the same fan-in.
+    DagConfig wide = narrow;
+    wide.fanout = 16;
+    wide.roots = 1;
+    for (const DagConfig& dag : {narrow, wide}) {
+        SCOPED_TRACE("fanout " + std::to_string(dag.fanout));
+        Network net(NetworkConfig::singleRack16(), [](HostServices& h) {
+            return std::make_unique<DelayTransport>(h);
+        });
+        TrafficGenerator* genPtr = nullptr;
+        // External ledger: which (tree, node) responses have been
+        // delivered.
+        std::set<std::pair<uint64_t, int>> deliveredResponses;
+        uint64_t responsesChecked = 0;
+        TrafficGenerator gen(net, dagConfig(dag), [&](const Message& m) {
+            const auto role = genPtr->dag()->roleOf(m.id);
+            ASSERT_TRUE(role.has_value());  // every dag message is the engine's
+            if (!role->response) return;
+            const DagTreeSpec* spec = genPtr->dag()->treeSpec(role->tree);
+            ASSERT_NE(spec, nullptr);
+            const DagNodeSpec& n = spec->nodes[role->node];
+            // The node fires its own response only after every one of its
+            // children's responses was *delivered* to it.
+            for (int c = 0; c < n.childCount; c++) {
+                EXPECT_TRUE(deliveredResponses.count(
+                    {role->tree, n.firstChild + c}) != 0)
+                    << "tree " << role->tree << " node " << role->node
+                    << " responded before child " << n.firstChild + c;
+                responsesChecked++;
+            }
+        });
+        genPtr = &gen;
+        net.setDeliveryCallback([&](const Message& m, const DeliveryInfo&) {
+            const auto role = gen.dag()->roleOf(m.id);
+            ASSERT_TRUE(role.has_value());
+            if (role->response) {
+                deliveredResponses.insert({role->tree, role->node});
+            }
+            gen.onDelivered(m);
+        });
+        gen.start();
+        net.loop().runUntil(milliseconds(3));
+        EXPECT_GT(gen.dag()->treesCompleted(), 20u);
+        EXPECT_GT(responsesChecked, 100u);  // internal-node fan-ins were checked
+    }
 }
 
 TEST(DagFanIn, TreeWindowNeverExceeded) {
@@ -481,33 +485,44 @@ ExperimentConfig dagExperiment(DagConfig dag) {
 }
 
 TEST(DagEndToEnd, ExperimentReportsDagMetrics) {
-    DagConfig dag;
-    dag.fanout = 4;
-    dag.depth = 2;
-    dag.roots = 4;
-    dag.stageResponseBytes = {4000, 1000};
-    ExperimentResult r = runExperiment(dagExperiment(dag));
-    EXPECT_GT(r.delivered, 0u);
-    EXPECT_TRUE(r.keptUp);  // bounded in-flight: the tree loop keeps up
-    EXPECT_FALSE(r.closedLoop);
-    ASSERT_TRUE(r.dag);
-    EXPECT_EQ(r.dag->roots(), 4);
-    EXPECT_GT(r.dag->trees(), 50u);
-    EXPECT_EQ(r.dag->totalNodes(), r.dag->trees() * 20u);
-    EXPECT_GT(r.maxOutstanding, 0);
-    EXPECT_LE(r.maxOutstanding, dag.window);
-    for (int root = 0; root < r.dag->roots(); root++) {
-        EXPECT_GT(r.dag->rootTrees(root), 0u) << "root " << root;
+    DagConfig deep;
+    deep.fanout = 4;
+    deep.depth = 2;
+    deep.roots = 4;
+    deep.stageResponseBytes = {4000, 1000};
+    // Fan-out past the 15 hosts a root can pick from: siblings share
+    // hosts, and those hosts' responses incast on the root.
+    DagConfig wide = deep;
+    wide.fanout = 16;
+    wide.depth = 1;
+    wide.stageResponseBytes = {2000};
+    for (const DagConfig& dag : {deep, wide}) {
+        SCOPED_TRACE("fanout " + std::to_string(dag.fanout));
+        ExperimentResult r = runExperiment(dagExperiment(dag));
+        EXPECT_GT(r.delivered, 0u);
+        EXPECT_TRUE(r.keptUp);  // bounded in-flight: the tree loop keeps up
+        EXPECT_FALSE(r.closedLoop);
+        ASSERT_TRUE(r.dag);
+        EXPECT_EQ(r.dag->roots(), 4);
+        EXPECT_GT(r.dag->trees(), 50u);
+        // Every completed tree answered with all of its nodes.
+        EXPECT_EQ(r.dag->totalNodes(),
+                  r.dag->trees() * static_cast<uint64_t>(dagTreeNodeCount(dag)));
+        EXPECT_GT(r.maxOutstanding, 0);
+        EXPECT_LE(r.maxOutstanding, dag.window);
+        for (int root = 0; root < r.dag->roots(); root++) {
+            EXPECT_GT(r.dag->rootTrees(root), 0u) << "root " << root;
+        }
+        EXPECT_GE(r.dag->maxRootTrees(), r.dag->minRootTrees());
+        EXPECT_GE(r.dag->completionPercentileUs(0.99),
+                  r.dag->completionPercentileUs(0.50));
+        EXPECT_GT(r.dag->treesPerSec(), 0.0);
+        EXPECT_GT(r.dag->aggregateGbps(), 0.0);
+        // The ideal is a lower bound (it ignores fan-out serialization),
+        // so measured slowdown sits at or above ~1.
+        EXPECT_GT(r.dag->slowdownSamples(), 0u);
+        EXPECT_GE(r.dag->slowdownPercentile(0.50), 1.0);
     }
-    EXPECT_GE(r.dag->maxRootTrees(), r.dag->minRootTrees());
-    EXPECT_GE(r.dag->completionPercentileUs(0.99),
-              r.dag->completionPercentileUs(0.50));
-    EXPECT_GT(r.dag->treesPerSec(), 0.0);
-    EXPECT_GT(r.dag->aggregateGbps(), 0.0);
-    // The ideal is a lower bound (it ignores fan-out serialization), so
-    // measured slowdown sits at or above ~1.
-    EXPECT_GT(r.dag->slowdownSamples(), 0u);
-    EXPECT_GE(r.dag->slowdownPercentile(0.50), 1.0);
 }
 
 TEST(DagEndToEnd, StragglersDominateTreeLatency) {
@@ -584,68 +599,6 @@ TEST(DagEndToEnd, SpecRunsForAllSixProtocolsWithSweepIdentity) {
                   resultFingerprint(many.results[i]))
             << proto;
     }
-}
-
-// ----------------------------------------------------- RPC-level trees
-
-TEST(DagRpc, PartitionAggregateOverRealRpcs) {
-    RpcExperimentConfig cfg;
-    cfg.workload = WorkloadId::W1;
-    cfg.stop = milliseconds(4);
-    cfg.dagMode = true;
-    cfg.dag.fanout = 3;
-    cfg.dag.depth = 2;
-    cfg.dag.stageResponseBytes = {4000, 1000};
-    RpcExperimentResult r = runRpcExperiment(cfg);
-    EXPECT_GT(r.completed, 10u);
-    EXPECT_TRUE(r.keptUp);
-    ASSERT_TRUE(r.dag);
-    EXPECT_EQ(r.dag->roots(), cfg.clients);
-    // `completed` counts trees issued in the window; the tracker counts
-    // trees *finishing* in it — the same loop seen at its two edges.
-    EXPECT_GT(r.dag->trees(), 10u);
-    EXPECT_EQ(r.dag->totalNodes(), r.dag->trees() * 12u);
-    EXPECT_GE(r.dag->completionPercentileUs(0.99),
-              r.dag->completionPercentileUs(0.50));
-    EXPECT_GE(r.dag->slowdownPercentile(0.50), 1.0);
-    ASSERT_TRUE(r.perClient);
-    for (int c = 0; c < cfg.clients; c++) {
-        EXPECT_GT(r.perClient->client(c).completed, 0u) << "client " << c;
-    }
-}
-
-TEST(DagRpc, WideFanoutRevisitsServers) {
-    // Fan-out beyond the server pool: siblings repeat hosts — that
-    // repetition is the deliberate incast.
-    RpcExperimentConfig cfg;
-    cfg.workload = WorkloadId::W1;
-    cfg.stop = milliseconds(4);
-    cfg.dagMode = true;
-    cfg.dag.fanout = 12;  // 8 servers
-    cfg.dag.depth = 1;
-    cfg.dag.stageResponseBytes = {2000};
-    RpcExperimentResult r = runRpcExperiment(cfg);
-    EXPECT_GT(r.completed, 10u);
-    ASSERT_TRUE(r.dag);
-    EXPECT_GE(r.dag->slowdownPercentile(0.50), 1.0);
-}
-
-TEST(DagRpc, RpcTreesAreDeterministic) {
-    RpcExperimentConfig cfg;
-    cfg.workload = WorkloadId::W1;
-    cfg.stop = milliseconds(3);
-    cfg.dagMode = true;
-    cfg.dag.fanout = 4;
-    cfg.dag.depth = 2;
-    cfg.dag.stageResponseBytes = {2000, 500};
-    RpcExperimentResult a = runRpcExperiment(cfg);
-    RpcExperimentResult b = runRpcExperiment(cfg);
-    EXPECT_GT(a.completed, 0u);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.dag->trees(), b.dag->trees());
-    EXPECT_EQ(a.dag->completionPercentileUs(0.99),
-              b.dag->completionPercentileUs(0.99));
-    EXPECT_EQ(a.dag->slowdownPercentile(0.99), b.dag->slowdownPercentile(0.99));
 }
 
 // ------------------------------------------------- CLI misuse validation

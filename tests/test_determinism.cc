@@ -529,8 +529,8 @@ TEST(ServingDeterminism, NoTenantsFingerprintHasNoServingBlock) {
 // ----------------------------------------------- RPC harness goldens
 //
 // FNV-1a plus length of resultFingerprint for every RPC issue mode: echo
-// open and closed loop, each with and without ON-OFF, DAG trees over
-// RPCs (pure and with joins under ON-OFF), and the serving mix. Captured
+// open and closed loop, each with and without ON-OFF, and the serving
+// mix. Captured
 // before the three RPC harnesses shared one arrival driver; any change
 // to a mode's draw order or event order shows up here.
 
@@ -564,31 +564,11 @@ std::vector<RpcGolden> rpcHarnessGoldens() {
     RpcExperimentConfig closedOnOff = closed;
     closedOnOff.onOff.enabled = true;
 
-    RpcExperimentConfig dag;
-    dag.workload = WorkloadId::W1;
-    dag.stop = milliseconds(3);
-    dag.dagMode = true;
-    dag.dag.fanout = 3;
-    dag.dag.depth = 2;
-    dag.dag.stageResponseBytes = {4000, 1000};
-
-    RpcExperimentConfig dagJoins;
-    dagJoins.workload = WorkloadId::W1;
-    dagJoins.stop = milliseconds(3);
-    dagJoins.dagMode = true;
-    dagJoins.dag.fanout = 3;
-    dagJoins.dag.depth = 2;
-    dagJoins.dag.window = 2;
-    dagJoins.dag.joinFraction = 0.5;
-    dagJoins.onOff.enabled = true;
-
     return {
         {"echo-open", open, 0x87a50b2d305fcfb8ull, 1418},
         {"echo-closed", closed, 0xb8fe1f4bd2a461fcull, 1257},
         {"echo-open-onoff", openOnOff, 0xc735b980c2190ac6ull, 1413},
         {"echo-closed-onoff", closedOnOff, 0x5e4cf58bf98ce095ull, 1255},
-        {"dag", dag, 0xa914e1125ca8fdf7ull, 464},
-        {"dag-joins-onoff", dagJoins, 0x0f3e9710c8a7894dull, 465},
         {"serving", servingConfig(), 0xbb8b77e24aba18cfull, 1112},
     };
 }

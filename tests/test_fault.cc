@@ -90,6 +90,16 @@ TEST(FaultSpec, ExplainsMalformedSpecs) {
               std::string::npos);
     EXPECT_NE(parseError("flap=aggr,for=1ms").find("bad fault target index"),
               std::string::npos);
+    // An index is digits only: past INT_MAX is rejected, not wrapped
+    // (2^32 + 1 -> aggr1), and no sign or blank slips through strtol.
+    for (const char* body : {"flap=aggr4294967297,at=1ms,for=1ms",
+                             "flap=aggr+1,at=1ms,for=1ms",
+                             "flap=aggr 1,at=1ms,for=1ms",
+                             "flap=aggr-0,at=1ms,for=1ms"}) {
+        EXPECT_NE(parseError(body).find("bad fault target index"),
+                  std::string::npos)
+            << body;
+    }
     EXPECT_NE(parseError("flap=aggr0,for=10").find("bad duration"),
               std::string::npos);  // missing ns/us/ms/s suffix
     EXPECT_NE(parseError("flap=aggr0,for=1ms,oops=3")

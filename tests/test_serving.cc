@@ -481,42 +481,26 @@ TEST(ServingValidate, RunRejectsInvalidConfigsInEveryBuildType) {
 }
 
 TEST(RpcValidate, EchoAndDagRejectInvalidConfigsInEveryBuildType) {
-    // The echo and DAG operations share the serving path's always-on
-    // check: no client without a server, no open loop without a rate, no
-    // DAG the validator or the server pool cannot hold, and no silent
-    // pick between DAG and serving.
+    // The echo operation shares the serving path's always-on check: no
+    // client without a server and no open loop without a rate.
     RpcExperimentConfig echo;
     echo.stop = milliseconds(1);
-    RpcExperimentConfig dag = echo;
-    dag.dagMode = true;
-    dag.dag.fanout = 3;
-    dag.dag.depth = 2;
     struct Case {
-        RpcExperimentConfig cfg;
         std::function<void(RpcExperimentConfig&)> mutate;
         std::string message;
     };
     const std::vector<Case> cases = {
-        {echo, [](RpcExperimentConfig& c) { c.clients = 16; },
+        {[](RpcExperimentConfig& c) { c.clients = 16; },
          "clients = 16 must be in [1, 15]"},
-        {echo, [](RpcExperimentConfig& c) { c.clients = 0; },
+        {[](RpcExperimentConfig& c) { c.clients = 0; },
          "clients = 0 must be in [1, 15]"},
-        {echo, [](RpcExperimentConfig& c) { c.load = 0; },
+        {[](RpcExperimentConfig& c) { c.load = 0; },
          "open-loop load must be > 0"},
-        {echo, [](RpcExperimentConfig& c) { c.load = std::nan(""); },
+        {[](RpcExperimentConfig& c) { c.load = std::nan(""); },
          "open-loop load must be > 0"},
-        {dag, [](RpcExperimentConfig& c) { c.clients = 15; },
-         "dag depth >= 2 needs at least 2 servers, got 1"},
-        {dag, [](RpcExperimentConfig& c) { c.dag.fanout = 0; },
-         "invalid dag config: fanout must be >= 1"},
-        {dag,
-         [](RpcExperimentConfig& c) {
-             c.serving = hedgedServingConfig(Protocol::Homa).serving;
-         },
-         "dagMode does not combine with serving tenants"},
     };
     for (const Case& k : cases) {
-        RpcExperimentConfig cfg = k.cfg;
+        RpcExperimentConfig cfg = echo;
         k.mutate(cfg);
         try {
             runRpcExperiment(cfg);

@@ -155,7 +155,7 @@ void PHostTransport::handlePacket(const Packet& p) {
         case PacketType::Token: {
             auto it = out_.find(p.msg);
             if (it == out_.end()) return;  // message already fully sent
-            it->second.tokens.push_back(host_.loop().now());
+            it->second.tokens.emplace_back(host_.loop().now());
             sendable_.upsert(p.msg, it->second.remaining());
             host_.kickNic();
             return;

@@ -9,13 +9,13 @@
 //    moves on — the mechanism whose limits cap pHost at 58-73% load.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
 #include <utility>
 
 #include "sched/srpt_index.h"
+#include "sched/vector_fifo.h"
 #include "sim/event_loop.h"
 #include "sim/topology.h"
 #include "transport/transport.h"
@@ -54,7 +54,7 @@ private:
         int64_t nextOffset = 0;
         // Unused scheduled-packet permissions: arrival times, so they can
         // expire (pHost's wasted-bandwidth mechanism).
-        std::deque<Time> tokens;
+        VectorFifo<Time> tokens;
         int64_t remaining() const {
             return static_cast<int64_t>(msg.length) - nextOffset;
         }

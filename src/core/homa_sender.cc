@@ -1,21 +1,28 @@
 #include "core/homa_sender.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace homa {
 
 void HomaSender::sendMessage(const Message& m) {
-    assert(m.length > 0);
-    OutMessage om;
-    om.msg = m;
-    om.unschedLimit = ctx_.unschedLimitFor(m.length, m.flags);
-    om.grantedTo = om.unschedLimit;
-    // Before any grant arrives, scheduled bytes (if the receiver grants
-    // past the unscheduled region) go at the lowest level; the receiver's
-    // first GRANT overrides this.
-    om.schedPriority = 0;
-    auto it = out_.emplace(m.id, std::move(om)).first;
-    syncSendable(it->second);
+    if (m.length == 0) {
+        throw std::invalid_argument("HomaSender::sendMessage: message " +
+                                    std::to_string(m.id) +
+                                    " has length 0");
+    }
+    auto [it, fresh] = out_.try_emplace(m.id);
+    OutMessage& om = it->second;
+    if (fresh) {
+        om.msg = m;
+        om.unschedLimit = ctx_.unschedLimitFor(m.length, m.flags);
+        om.grantedTo = om.unschedLimit;
+        // Before any grant arrives, scheduled bytes (if the receiver grants
+        // past the unscheduled region) go at the lowest level; the
+        // receiver's first GRANT overrides this.
+        om.schedPriority = 0;
+    }
+    syncSendable(om);
     ctx_.host.kickNic();
 }
 
@@ -44,8 +51,7 @@ void HomaSender::handleResend(const Packet& p) {
         // retransmission flows through the normal SRPT path.
         auto lit = lingering_.find(p.msg);
         if (lit == lingering_.end()) return;
-        it = out_.emplace(p.msg, std::move(lit->second)).first;
-        lingering_.erase(lit);
+        it = out_.insert(lingering_.extract(lit)).position;
     }
     OutMessage& om = it->second;
 
@@ -111,7 +117,8 @@ Packet HomaSender::makeDataPacket(OutMessage& om, uint32_t offset, uint32_t len,
 std::optional<Packet> HomaSender::pullPacket() {
     const auto best = sendable_.best();
     if (!best) return std::nullopt;
-    OutMessage* om = &out_.at(*best);
+    const auto it = out_.find(*best);
+    OutMessage* om = &it->second;
 
     Packet p;
     if (!om->resends.empty()) {
@@ -138,11 +145,8 @@ std::optional<Packet> HomaSender::pullPacket() {
         // Keep state briefly so RESENDs can still be answered (§3.8), then
         // reap. Lingering state is bounded by the linger window.
         om->lingerUntil = ctx_.host.loop().now() + ctx_.cfg.senderLinger;
-        const MsgId id = om->msg.id;
-        sendable_.erase(id);
-        auto it = out_.find(id);
-        lingering_.emplace(id, std::move(it->second));
-        out_.erase(it);
+        sendable_.erase(om->msg.id);
+        lingering_.insert(out_.extract(it));
         scheduleReap();
     } else {
         syncSendable(*om);

@@ -7,15 +7,35 @@
 // models the paper's 2-full-packets NIC queue cap (§4). The ordering lives
 // in an incremental SrptIndex (src/sched/) kept in sync with sendability,
 // so each pull costs O(log n) instead of a scan of every message.
+//
+// Per-message state. Homa exists for a high volume of very short
+// messages, so a message's whole lifecycle (send, pull, linger, reap)
+// allocates only its node in the message tables (and its entry in
+// `sendable_`):
+//  * `out_` holds messages still transmitting, `lingering_` fully sent
+//    ones kept for `senderLinger` to answer RESENDs (§3.8). Both are
+//    hash tables keyed by message id.
+//  * Moving a message into linger, and back out when a RESEND revives
+//    it, hands the node from one table to the other (`extract`/`insert`):
+//    no copy and no allocation.
+//  * The resend queue is a VectorFifo, which allocates only when a
+//    RESEND actually asks for bytes again; resends are rare and short.
+//
+// Hash order never reaches an event. Lookups are by id; the only walks
+// are `untransmittedBytes` (a sum) and the reaper (which only erases
+// expired entries and schedules nothing per entry). Packet choice comes
+// from `sendable_`, whose ties break on id. A new walk over these tables
+// must keep that property, or results would depend on the hash layout.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
+#include <unordered_map>
+#include <utility>
 
 #include "core/homa_context.h"
 #include "sched/srpt_index.h"
+#include "sched/vector_fifo.h"
 #include "transport/message.h"
 
 namespace homa {
@@ -24,6 +44,8 @@ class HomaSender {
 public:
     explicit HomaSender(HomaContext& ctx) : ctx_(ctx) {}
 
+    /// Queue `m` for transmission. Throws std::invalid_argument on a
+    /// zero-length message, which could never become sendable.
     void sendMessage(const Message& m);
     void handleGrant(const Packet& p);
 
@@ -47,7 +69,7 @@ private:
         int64_t nextOffset = 0;     // next fresh byte
         int64_t grantedTo = 0;      // may transmit fresh bytes below this
         int schedPriority = 0;      // logical level from the latest GRANT
-        std::deque<std::pair<uint32_t, uint32_t>> resends;
+        VectorFifo<std::pair<uint32_t, uint32_t>> resends;  // (offset, len)
         Time lingerUntil = 0;
         Time lastSend = 0;          // last time a DATA packet left
 
@@ -73,9 +95,9 @@ private:
     HomaContext& ctx_;
     // In-progress messages only; fully sent messages move to lingering_
     // (kept to answer RESENDs) and come back only if a retransmission is
-    // requested.
-    std::map<MsgId, OutMessage> out_;
-    std::map<MsgId, OutMessage> lingering_;
+    // requested. Never iterate either table into an event (see top).
+    std::unordered_map<MsgId, OutMessage> out_;
+    std::unordered_map<MsgId, OutMessage> lingering_;
     // SRPT order over the sendable subset of out_, keyed by remaining().
     SrptIndex<MsgId> sendable_;
     bool reapScheduled_ = false;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace homa {
 
@@ -304,9 +306,14 @@ Network::Network(NetworkConfig cfg, const TransportFactory& makeTransport,
 }
 
 void Network::sendMessage(Message m) {
-    assert(m.src >= 0 && m.src < hostCount());
-    assert(m.dst >= 0 && m.dst < hostCount());
-    assert(m.src != m.dst);
+    if (m.src < 0 || m.src >= hostCount() || m.dst < 0 ||
+        m.dst >= hostCount() || m.src == m.dst) {
+        throw std::invalid_argument(
+            "Network::sendMessage: message " + std::to_string(m.id) +
+            " from host " + std::to_string(m.src) + " to host " +
+            std::to_string(m.dst) + " needs two distinct hosts in [0, " +
+            std::to_string(hostCount()) + ")");
+    }
     m.created = loopFor(m.src).now();
     if (intercept_ && intercept_(m)) return;
     hosts_[m.src]->transport().sendMessage(m);

@@ -97,7 +97,8 @@ public:
     Host& host(HostId h) { return *hosts_[h]; }
 
     /// Hand a message to its source host's transport. Assigns created time;
-    /// the id must already be unique (use nextMsgId()).
+    /// the id must already be unique (use nextMsgId()). Throws
+    /// std::invalid_argument unless src and dst are distinct hosts.
     void sendMessage(Message m);
 
     /// Fluid fast-path seam (sim/fluid.h): when set, sendMessage offers

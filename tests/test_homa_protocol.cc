@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <stdexcept>
 
+#include "alloc_counter.h"
 #include "core/homa_transport.h"
 #include "workload/workloads.h"
 
@@ -176,6 +178,125 @@ TEST(HomaSender, StopsAtUnscheduledLimitUntilGranted) {
         EXPECT_EQ(p.priority, 2);  // wire = logical with 8 levels
     }
     EXPECT_EQ(granted, 5000);
+}
+
+/// A RESEND from the message's receiver, as the transport would see it.
+Packet resendFor(MsgId id, uint32_t offset, uint32_t length) {
+    Packet r;
+    r.type = PacketType::Resend;
+    r.src = 5;
+    r.msg = id;
+    r.offset = offset;
+    r.length = length;
+    return r;
+}
+
+TEST(HomaSender, ResendsOfFullySentMessageReturnInArrivalOrder) {
+    Harness h;
+    Message a = h.makeMessage(1, 9000, 0);  // entirely unscheduled
+    a.dst = 5;
+    h.transport->sendMessage(a);
+    ASSERT_EQ(h.pullAll().size(), 7u);
+    ASSERT_EQ(h.transport->sender().activeMessages(), 0u);
+
+    // Two RESENDs, each spanning several packets, far enough apart that
+    // the sender counts as idle when each one arrives.
+    constexpr uint32_t kChunk = kMaxPayload;
+    const std::pair<uint32_t, uint32_t> asks[] = {{4000, 3500}, {0, 2000}};
+    std::vector<Packet> retrans;
+    Time t = milliseconds(3);
+    for (auto [off, len] : asks) {
+        ASSERT_GT(len, kChunk);
+        h.host.loop_.runUntil(t);
+        h.transport->handlePacket(resendFor(1, off, len));
+        for (const Packet& p : h.pullAll()) retrans.push_back(p);
+        t += milliseconds(3);
+    }
+
+    std::vector<std::pair<uint32_t, uint32_t>> want;
+    for (auto [off, len] : asks) {
+        for (uint32_t o = off; o < off + len; o += kChunk) {
+            want.emplace_back(o, std::min(kChunk, off + len - o));
+        }
+    }
+    ASSERT_EQ(retrans.size(), want.size());
+    for (size_t i = 0; i < want.size(); i++) {
+        EXPECT_EQ(retrans[i].offset, want[i].first) << i;
+        EXPECT_EQ(retrans[i].length, want[i].second) << i;
+        EXPECT_TRUE(retrans[i].hasFlag(kFlagRetransmit)) << i;
+    }
+    EXPECT_TRUE(h.transport->sender().knowsMessage(1));
+    EXPECT_EQ(h.transport->sender().activeMessages(), 0u);
+}
+
+TEST(HomaSender, ForgetsMessageAfterLinger) {
+    HomaConfig cfg;
+    Harness h(cfg);
+    Message a = h.makeMessage(1, 2000, 0);
+    a.dst = 5;
+    h.transport->sendMessage(a);
+    ASSERT_EQ(h.pullAll().size(), 2u);
+    EXPECT_TRUE(h.transport->sender().knowsMessage(1));
+
+    h.host.loop_.runUntil(2 * cfg.senderLinger + milliseconds(1));
+    EXPECT_FALSE(h.transport->sender().knowsMessage(1));
+
+    // Neither the transport nor the sender itself answers: no BUSY, no DATA.
+    h.host.pushed.clear();
+    h.transport->handlePacket(resendFor(1, 0, 1442));
+    h.transport->sender().handleResend(resendFor(1, 0, 1442));
+    EXPECT_TRUE(h.host.pushed.empty());
+    EXPECT_FALSE(h.transport->pullPacket().has_value());
+}
+
+TEST(HomaSender, ActiveMessagesExcludesLingering) {
+    Harness h;
+    Message small = h.makeMessage(1, 600, 0);
+    small.dst = 5;
+    Message big = h.makeMessage(2, 100000, 0);
+    big.dst = 6;
+    h.transport->sendMessage(small);
+    h.transport->sendMessage(big);
+    EXPECT_EQ(h.transport->sender().activeMessages(), 2u);
+    // SRPT sends the small message whole; the big one stops at RTTbytes.
+    h.pullAll();
+    EXPECT_EQ(h.transport->sender().activeMessages(), 1u);
+    EXPECT_TRUE(h.transport->sender().knowsMessage(1));
+    EXPECT_TRUE(h.transport->sender().knowsMessage(2));
+}
+
+TEST(HomaSender, RejectsZeroLengthMessage) {
+    Harness h;
+    Message m = h.makeMessage(1, 0, 0);
+    m.dst = 5;
+    EXPECT_THROW(h.transport->sendMessage(m), std::invalid_argument);
+    EXPECT_EQ(h.transport->sender().activeMessages(), 0u);
+    EXPECT_FALSE(h.transport->sender().knowsMessage(1));
+}
+
+TEST(HomaSender, LifecycleAllocatesLittle) {
+    // Send, pull, linger and reap 1,000 three-packet messages, 20 us
+    // apart, so the reaper runs during the loop as it does in a real run.
+    // The message table's node and the SRPT index's two nodes are the
+    // expected cost; per-message containers would push it past 4.
+    constexpr int kMessages = 1000;
+    HomaConfig cfg;
+    Harness h(cfg);
+    test::startCountingAllocations();
+    for (int i = 1; i <= kMessages; i++) {
+        Message m = h.makeMessage(static_cast<MsgId>(i), 4000, 0);
+        m.dst = 5;
+        h.transport->sendMessage(m);
+        while (h.transport->pullPacket()) {
+        }
+        h.host.loop_.runUntil(h.host.loop_.now() + microseconds(20));
+    }
+    h.host.loop_.runUntil(h.host.loop_.now() + 2 * cfg.senderLinger);
+    const uint64_t allocs = test::stopCountingAllocations();
+    EXPECT_FALSE(h.transport->sender().knowsMessage(1));
+    EXPECT_FALSE(h.transport->sender().knowsMessage(kMessages));
+    const double perMessage = static_cast<double>(allocs) / kMessages;
+    EXPECT_LT(perMessage, 4.0) << allocs << " allocations";
 }
 
 TEST(HomaSender, WirePriorityCollapsing) {

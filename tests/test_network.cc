@@ -1,6 +1,9 @@
 // Network wiring, port accounting, and timing constants.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+
 #include "core/homa_transport.h"
 #include "sim/network.h"
 #include "workload/workloads.h"
@@ -87,6 +90,23 @@ TEST(NetworkWiring, IntraRackTrafficStaysLocal) {
         // Only control packets could ever appear here; data must not.
         EXPECT_EQ(p->stats().wireBytesSent, 0);
     }
+}
+
+TEST(NetworkWiring, SendMessageRejectsBadHosts) {
+    Network net = makeNet(NetworkConfig::singleRack16());
+    const size_t events = net.loop().pendingEvents();
+    const std::pair<HostId, HostId> bad[] = {
+        {-1, 1}, {16, 1}, {0, -1}, {0, 16}, {3, 3}};
+    for (auto [src, dst] : bad) {
+        Message m;
+        m.id = net.nextMsgId();
+        m.src = src;
+        m.dst = dst;
+        m.length = 1000;
+        EXPECT_THROW(net.sendMessage(m), std::invalid_argument)
+            << src << " -> " << dst;
+    }
+    EXPECT_EQ(net.loop().pendingEvents(), events);  // nothing was sent
 }
 
 TEST(NetworkWiring, SprayingSpreadsAcrossUplinks) {

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <utility>
 #include <vector>
 
 #include "sched/grant_scheduler.h"
 #include "sched/priority_allocator.h"
 #include "sched/round_robin.h"
 #include "sched/srpt_index.h"
+#include "sched/vector_fifo.h"
 #include "sim/packet_pool.h"
 
 namespace homa {
@@ -56,6 +59,46 @@ TEST(SrptIndex, BoundedVisitStopsEarly) {
     int seen = 0;
     idx.visitInOrder([&](MsgId, int64_t) { return ++seen < 3; });
     EXPECT_EQ(seen, 3);
+}
+
+// ------------------------------------------------------------ VectorFifo
+
+TEST(VectorFifo, MatchesDequeUnderInterleavedPushPop) {
+    // Bursts of pushes and pops of varying length cross every reclaim
+    // path: emptying, and a dead prefix reaching half the storage.
+    VectorFifo<int> fifo;
+    std::deque<int> ref;
+    int next = 0;
+    for (int round = 0; round < 200; round++) {
+        for (int i = 0; i < round % 7; i++) {
+            fifo.emplace_back(next);
+            ref.push_back(next++);
+        }
+        for (int i = 0; i < round % 5 && !ref.empty(); i++) {
+            ASSERT_EQ(fifo.front(), ref.front());
+            fifo.pop_front();
+            ref.pop_front();
+        }
+        ASSERT_EQ(fifo.size(), ref.size());
+        ASSERT_EQ(fifo.empty(), ref.empty());
+    }
+    while (!ref.empty()) {
+        ASSERT_EQ(fifo.front(), ref.front());
+        fifo.pop_front();
+        ref.pop_front();
+    }
+    EXPECT_TRUE(fifo.empty());
+}
+
+TEST(VectorFifo, FrontIsWritable) {
+    VectorFifo<std::pair<uint32_t, uint32_t>> fifo;
+    fifo.emplace_back(0u, 3000u);
+    fifo.emplace_back(5000u, 10u);
+    fifo.front() = {1442, 1558};  // a partly sent range shrinks in place
+    EXPECT_EQ(fifo.front(), (std::pair<uint32_t, uint32_t>{1442, 1558}));
+    fifo.pop_front();
+    EXPECT_EQ(fifo.front().first, 5000u);
+    EXPECT_EQ(fifo.size(), 1u);
 }
 
 // ---------------------------------------------------------- RoundRobinSet
